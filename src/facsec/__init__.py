@@ -30,14 +30,10 @@ from .model import (
     EffortVector,
     EmptyVulnerableUniverse,
     FacilityProfile,
-    MixedDefense,
     ModelError,
-    effort_from_mixed,
     expected_utilities,
-    mixed_from_effort,
     partition_by_cost,
     vulnerable_set,
-    zero_sum_utilities,
 )
 from .normalform import (
     BoundaryParameters,

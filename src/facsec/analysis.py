@@ -72,7 +72,7 @@ def classify_cost_region(
     except EmptyVulnerableUniverse:
         return CostRegion.NO_VULNERABLE
     ca, cd = params.attack_cost, params.defense_cost
-    top = partition.level_costs[0] - partition.baseline_cost
+    top = partition.edges[0]
     if _close(ca, top, tol):
         return CostRegion.BOUNDARY
     if ca > top:

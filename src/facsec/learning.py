@@ -19,6 +19,7 @@ from .routing import (
     AffineLatency,
     FlowAssignment,
     RoutedNetwork,
+    latencies_for_state,
     wardrop_equilibrium,
 )
 
@@ -32,30 +33,26 @@ class LearningError(ValueError):
     """Invalid belief, prior, or simulation configuration."""
 
 
-def _validated_probs(
-    pairs: tuple[tuple[State, float], ...], what: str
-) -> tuple[tuple[State, float], ...]:
-    seen = set()
-    for state, p in pairs:
-        if state in seen:
-            raise LearningError(f"duplicate state {state!r} in {what}")
-        seen.add(state)
-        if p < 0.0:
-            raise LearningError(f"negative probability {p!r} for state {state!r} in {what}")
-    total = sum(p for _, p in pairs)
-    if abs(total - 1.0) > 1e-12:
-        raise LearningError(f"{what} sums to {total!r}, expected 1")
-    return pairs
-
-
 @dataclass(frozen=True)
 class StateDistribution:
-    """Distribution of the realized post-attack state (edge id or None)."""
+    """Probabilities over post-attack states (edge id or None): both the
+    realized-state distribution and the travelers' common belief."""
 
     probs: tuple[tuple[State, float], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _validated_probs(tuple(self.probs), "state distribution"))
+        pairs = tuple(self.probs)
+        seen = set()
+        for state, p in pairs:
+            if state in seen:
+                raise LearningError(f"duplicate state {state!r}")
+            seen.add(state)
+            if p < 0.0:
+                raise LearningError(f"negative probability {p!r} for state {state!r}")
+        total = sum(p for _, p in pairs)
+        if abs(total - 1.0) > 1e-12:
+            raise LearningError(f"probabilities sum to {total!r}, expected 1")
+        object.__setattr__(self, "probs", pairs)
 
     @classmethod
     def point(cls, state: State) -> "StateDistribution":
@@ -70,6 +67,10 @@ class StateDistribution:
     def as_dict(self) -> dict[State, float]:
         return dict(self.probs)
 
+    @property
+    def states(self) -> tuple[State, ...]:
+        return tuple(s for s, _ in self.probs)
+
     def sample(self, rng: np.random.Generator) -> State:
         u = float(rng.random())
         acc = 0.0
@@ -80,27 +81,7 @@ class StateDistribution:
         return self.probs[-1][0]
 
 
-@dataclass(frozen=True)
-class Belief:
-    """Travelers' common belief over the post-attack state."""
-
-    probs: tuple[tuple[State, float], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _validated_probs(tuple(self.probs), "belief"))
-
-    def prob(self, state: State) -> float:
-        for s, p in self.probs:
-            if s == state:
-                return p
-        return 0.0
-
-    def as_dict(self) -> dict[State, float]:
-        return dict(self.probs)
-
-    @property
-    def states(self) -> tuple[State, ...]:
-        return tuple(s for s, _ in self.probs)
+Belief = StateDistribution
 
 
 def state_distribution(eq) -> StateDistribution:
@@ -114,20 +95,6 @@ def state_distribution(eq) -> StateDistribution:
         pairs.append((fac, sig * (1.0 - eq.effort.get(fac))))
     pairs.append((None, 1.0 - sum(p for _, p in pairs)))
     return StateDistribution(tuple(pairs))
-
-
-def _nominal_latencies(network: RoutedNetwork) -> dict[str, AffineLatency]:
-    return {e.edge_id: e.nominal for e in network.edges}
-
-
-def _state_latencies(network: RoutedNetwork, state: State) -> dict[str, AffineLatency]:
-    # states that do not name a network edge leave every edge nominal
-    lat = _nominal_latencies(network)
-    if state is not None and state in lat:
-        for e in network.edges:
-            if e.edge_id == state:
-                lat[state] = e.compromised
-    return lat
 
 
 def belief_mixed_latencies(network: RoutedNetwork, belief: Belief) -> dict[str, AffineLatency]:
@@ -169,7 +136,7 @@ def stage_step(
     if noise_half_width <= 0.0:
         raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
     flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
-    true_lat = _state_latencies(network, realized_state)
+    true_lat = latencies_for_state(network, realized_state)
     observations: dict[str, float] = {}
     for eid in network.edge_ids:
         load = flow.edge_loads[eid]
@@ -181,7 +148,7 @@ def stage_step(
     masses: list[float] = []
     eliminated = False
     for state, theta in belief.probs:
-        lat = _state_latencies(network, state)
+        lat = latencies_for_state(network, state)
         survives = all(
             abs(obs - lat[eid](flow.edge_loads[eid])) <= band
             for eid, obs in observations.items()
@@ -228,11 +195,17 @@ class LearningTrace:
 def run_simulation(config: SimulationConfig) -> LearningTrace:
     """Sample the realized state once, then play ``horizon`` stages.
 
-    The prior must not rule out any state the distribution can realize.
-    Deterministic for a fixed config and seed.
+    Every state the prior names or the distribution can realize must be None
+    or an edge of the network, and the prior must not rule out any state the
+    distribution can realize. Deterministic for a fixed config and seed.
     """
     if config.horizon < 1:
         raise LearningError(f"horizon must be at least 1, got {config.horizon!r}")
+    realizable = tuple(s for s, p in config.state_dist.probs if p > 0.0)
+    edge_ids = set(config.network.edge_ids)
+    for state in config.prior.states + realizable:
+        if state is not None and state not in edge_ids:
+            raise LearningError(f"state {state!r} is not an edge of the network")
     for state, p in config.state_dist.probs:
         if p > 0.0 and config.prior.prob(state) <= 0.0:
             raise LearningError(f"prior rules out realizable state {state!r}")

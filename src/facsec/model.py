@@ -6,8 +6,8 @@ while unsecured, the usage cost borne by users rises from the baseline C0 to
 the facility's post-attack cost Ce; otherwise it stays at C0.
 
 Mixed defender strategies only matter through the per-facility security effort
-(the total probability that a facility is covered), so most of the package
-works with effort vectors and converts back to set distributions on demand.
+(the total probability that a facility is covered), so the package works
+with effort vectors throughout.
 """
 
 from __future__ import annotations
@@ -121,13 +121,36 @@ class FacilityPartition:
     def K(self) -> int:
         return len(self.levels)
 
-    @property
+    @cached_property
     def level_costs(self) -> tuple[float, ...]:
         return tuple(level.cost for level in self.levels)
 
-    @property
+    @cached_property
     def level_sizes(self) -> tuple[int, ...]:
         return tuple(len(level.members) for level in self.levels)
+
+    @cached_property
+    def edges(self) -> tuple[float, ...]:
+        """Cost increase C(k)-C0 per level: the attack costs where regimes switch."""
+        return tuple(cost - self.baseline_cost for cost in self.level_costs)
+
+    @cached_property
+    def prefix_ratios(self) -> tuple[float, ...]:
+        """S_k, the prefix sums of E(k)/(C(k)-C0), one entry per level."""
+        out, acc = [], 0.0
+        for size, edge in zip(self.level_sizes, self.edges):
+            acc += size / edge
+            out.append(acc)
+        return tuple(out)
+
+    @cached_property
+    def bands(self) -> tuple[float, ...]:
+        """Band constants 1/S_k, decreasing in k: the defense costs where regimes switch."""
+        return tuple(1.0 / s for s in self.prefix_ratios)
+
+    def bracket(self, attack_cost: float) -> int:
+        """Number of levels whose cost increase beats the attack cost (the regime index i)."""
+        return sum(1 for edge in self.edges if edge > attack_cost)
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""
@@ -222,34 +245,6 @@ class EffortVector:
 
 
 @dataclass(frozen=True)
-class MixedDefense:
-    """Distribution over secured facility sets.
-
-    Stored in a canonical order (by set size, then sorted members) so equal
-    distributions compare equal.
-    """
-
-    weights: tuple[tuple[frozenset, float], ...]
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        cleaned = []
-        for subset, w in sorted(self.weights, key=lambda sw: (len(sw[0]), sorted(sw[0]))):
-            w = _validated_unit(w, f"weight of {sorted(subset)}")
-            total += w
-            cleaned.append((frozenset(subset), w))
-        if abs(total - 1.0) > 1e-9:
-            raise ModelError(f"defense weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "weights", tuple(cleaned))
-
-    def as_dict(self) -> dict[frozenset, float]:
-        return dict(self.weights)
-
-    def prob(self, subset: frozenset) -> float:
-        return self.as_dict().get(frozenset(subset), 0.0)
-
-
-@dataclass(frozen=True)
 class AttackDistribution:
     """Distribution over single-facility attacks plus the no-attack option."""
 
@@ -299,41 +294,6 @@ class AttackDistribution:
         return tuple(fac for fac, p in self.facility_probs if p > 0.0)
 
 
-def effort_from_mixed(profile: FacilityProfile, mixed: MixedDefense) -> EffortVector:
-    """Marginal coverage probability per facility under a set distribution."""
-    ids = set(profile.facility_ids)
-    efforts = {fac: 0.0 for fac in profile.facility_ids}
-    for subset, w in mixed.weights:
-        stray = subset - ids
-        if stray:
-            raise ModelError(f"defense set mentions unknown facilities: {sorted(stray)}")
-        for fac in subset:
-            efforts[fac] += w
-    return EffortVector.over(profile, efforts)
-
-
-def mixed_from_effort(profile: FacilityProfile, effort: EffortVector) -> MixedDefense:
-    """A set distribution inducing the given efforts, built on nested level sets.
-
-    With distinct positive effort values v1 > ... > vm, the set of facilities
-    at effort >= vi gets weight vi - v(i+1) (taking v(m+1) = 0), and the empty
-    set absorbs 1 - v1. Facilities then lie in exactly the nested sets whose
-    weights telescope to their own effort.
-    """
-    values = effort.as_dict()
-    if set(values) != set(profile.facility_ids):
-        raise ModelError("effort vector keys do not match the profile")
-    positive = sorted({v for v in values.values() if v > 0.0}, reverse=True)
-    weights: list[tuple[frozenset, float]] = []
-    for i, v in enumerate(positive):
-        nxt = positive[i + 1] if i + 1 < len(positive) else 0.0
-        members = frozenset(fac for fac, val in values.items() if val >= v)
-        weights.append((members, v - nxt))
-    top = positive[0] if positive else 0.0
-    weights.append((frozenset(), 1.0 - top))
-    return MixedDefense(tuple(weights))
-
-
 def _aligned(profile: FacilityProfile, effort: EffortVector, attack: AttackDistribution):
     ids = profile.facility_ids
     eff = effort.as_dict()
@@ -366,20 +326,3 @@ def expected_utilities(
         defender -= rho * ((c0 - ce) * sig + cd) + ce * sig
         attacker += rho * (c0 - ce) * sig + ce * sig - ca * sig
     return defender, attacker
-
-
-def zero_sum_utilities(
-    profile: FacilityProfile,
-    params: CostParams,
-    effort: EffortVector,
-    attack: AttackDistribution,
-) -> tuple[float, float]:
-    """Utilities of the strategically equivalent zero-sum game.
-
-    Adding the defender's security spending to the attacker's utility leaves
-    best responses unchanged and makes the game zero-sum; equilibria of the
-    original game are exactly the saddle points of this one.
-    """
-    _, attacker = expected_utilities(profile, params, effort, attack)
-    shifted = attacker + params.defense_cost * effort.total
-    return -shifted, shifted

@@ -11,7 +11,6 @@ probability one and the defender equalizes the top cost levels downward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -24,7 +23,6 @@ from .model import (
     FacilityId,
     FacilityPartition,
     FacilityProfile,
-    NotInIncreasedSet,
     partition_by_cost,
 )
 
@@ -51,60 +49,13 @@ class NeRegime:
         return f"{self.kind.value}-{self.index}"
 
 
-class ResponseLevel(Enum):
-    """Defender's per-facility best response to an attack distribution."""
-
-    ZERO = "zero"
-    FULL = "full"
-    FREE = "free"
-
-
-@dataclass(frozen=True)
-class AttackSetBounds:
-    """Description of the full equilibrium attack set.
-
-    ``pinned`` facilities carry exactly their listed probability in every
-    equilibrium; ``free`` facilities may take any value in [0, their bound in
-    ``upper``] so long as they jointly absorb ``free_mass``.
-    """
-
-    pinned: tuple[tuple[FacilityId, float], ...]
-    free: tuple[FacilityId, ...]
-    free_mass: float
-    upper: tuple[tuple[FacilityId, float], ...]
-
-
 @dataclass(frozen=True)
 class NormalFormEquilibrium:
     regime: NeRegime
     effort: EffortVector
     attack: AttackDistribution  # canonical witness from the attack set
-    attack_bounds: AttackSetBounds
     defender_utility: float
     attacker_utility: float
-
-
-def threshold_attack_prob(profile: FacilityProfile, params: CostParams, fac: FacilityId) -> float:
-    """Attack probability on ``fac`` above which paying for defense breaks even:
-    defense_cost / (Ce - C0)."""
-    ce = profile.post_attack_cost(fac)
-    if not ce > profile.baseline_cost:
-        raise NotInIncreasedSet(f"{fac!r} has no post-attack cost increase")
-    return params.defense_cost / (ce - profile.baseline_cost)
-
-
-def _cumulative_ratio(partition: FacilityPartition) -> list[float]:
-    """Prefix sums of E(k)/(C(k)-C0), one entry per level."""
-    out, acc = [], 0.0
-    for level in partition.levels:
-        acc += len(level.members) / (level.cost - partition.baseline_cost)
-        out.append(acc)
-    return out
-
-
-def _bracket(partition: FacilityPartition, attack_cost: float) -> int:
-    """Number of levels whose full cost increase beats the attack cost (the regime index i)."""
-    return sum(1 for c in partition.level_costs if c - partition.baseline_cost > attack_cost)
 
 
 def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
@@ -114,16 +65,27 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
     Raises EmptyVulnerableUniverse when the attack cost leaves nothing vulnerable.
     """
     partition = partition_by_cost(profile)
-    i = _bracket(partition, attack_cost)
+    i = partition.bracket(attack_cost)
     if i == 0:
         raise EmptyVulnerableUniverse(
             f"attack cost {attack_cost!r} leaves no vulnerable facility"
         )
-    return 1.0 / _cumulative_ratio(partition)[i - 1]
+    return partition.bands[i - 1]
 
 
 def _close(x: float, b: float, tol: float) -> bool:
     return abs(x - b) <= tol * max(1.0, abs(x), abs(b))
+
+
+def _concession_level(
+    partition: FacilityPartition, cd: float, n: int, tol: float
+) -> Optional[int]:
+    """The j with bands[j-1] < cd < bands[j-2] among the first ``n`` band
+    constants (n + 1 below them all), or None within ``tol`` of one of them."""
+    bands = partition.bands[:n]
+    if any(_close(cd, band, tol) for band in bands):
+        return None
+    return 1 + sum(1 for band in bands if band > cd)
 
 
 def classify_regime_ne(
@@ -137,30 +99,75 @@ def classify_regime_ne(
     """
     partition = partition_by_cost(profile)
     ca, cd = params.attack_cost, params.defense_cost
-    costs = partition.level_costs
-    c0 = partition.baseline_cost
-    bands = [1.0 / s for s in _cumulative_ratio(partition)]  # decreasing in the index
+    bands = partition.bands
 
-    for k in range(1, partition.K + 1):
-        edge = costs[k - 1] - c0
+    for k, edge in enumerate(partition.edges, start=1):
         if _close(ca, edge, tol):
             # the k-th vertical line only separates regimes below the (k-1)-th band
             if k == 1 or cd < bands[k - 2] or _close(cd, bands[k - 2], tol):
                 return NeRegime(RegimeKind.BOUNDARY, None)
 
-    i = _bracket(partition, ca)
-    for j in range(1, i + 1):
-        if _close(cd, bands[j - 1], tol):
-            return NeRegime(RegimeKind.BOUNDARY, None)
+    i = partition.bracket(ca)
     if i == 0:
         return NeRegime(RegimeKind.TYPE_I, 0)
-    if cd < bands[i - 1]:
+    j = _concession_level(partition, cd, i, tol)
+    if j is None:
+        return NeRegime(RegimeKind.BOUNDARY, None)
+    if j > i:
         return NeRegime(RegimeKind.TYPE_I, i)
-    for j in range(1, i + 1):
-        upper = math.inf if j == 1 else bands[j - 2]
-        if bands[j - 1] < cd < upper:
-            return NeRegime(RegimeKind.TYPE_II, j)
-    return NeRegime(RegimeKind.BOUNDARY, None)  # unreachable away from boundaries
+    return NeRegime(RegimeKind.TYPE_II, j)
+
+
+def _deter(
+    profile: FacilityProfile, partition: FacilityPartition, attack_cost: float, i: int
+) -> EffortVector:
+    """Effort (C(k)-ca-C0)/(C(k)-C0) on levels 1..i, at which attacking them
+    is exactly as good as abstaining (regimes I-i and I~-i)."""
+    c0, costs, edges = partition.baseline_cost, partition.level_costs, partition.edges
+    effort = {
+        fac: (costs[k] - attack_cost - c0) / edges[k]
+        for k in range(i)
+        for fac in partition.levels[k].members
+    }
+    return EffortVector.over(profile, effort)
+
+
+def _concede(
+    profile: FacilityProfile, partition: FacilityPartition, defense_cost: float, j: int
+) -> tuple[EffortVector, AttackDistribution]:
+    """The outcome of conceding down to level j (regimes II-j and II~-j).
+
+    Levels above j get the effort that equalizes their expected cost with
+    C(j) and are attacked at their break-even probability; level j absorbs
+    the rest of the attack mass, so the attacker always attacks.
+    """
+    costs, edges = partition.level_costs, partition.edges
+    cj = costs[j - 1]
+    effort: dict[FacilityId, float] = {}
+    attack: dict[FacilityId, float] = {}
+    for k in range(j - 1):
+        for fac in partition.levels[k].members:
+            effort[fac] = (costs[k] - cj) / edges[k]
+            attack[fac] = defense_cost / edges[k]
+    residual = 1.0 - sum(attack.values())
+    free = partition.levels[j - 1].members
+    for fac in free:
+        attack[fac] = residual / len(free)
+    return (
+        EffortVector.over(profile, effort),
+        AttackDistribution.over(profile, attack, no_attack=0.0),
+    )
+
+
+def _concession_utilities(
+    partition: FacilityPartition, params: CostParams, j: int
+) -> tuple[float, float]:
+    """(defender, attacker) utilities of the outcome of ``_concede``."""
+    costs, sizes, edges = partition.level_costs, partition.level_sizes, partition.edges
+    cd = params.defense_cost
+    cj = costs[j - 1]
+    ud = -cj - sum((costs[k] - cj) * cd * sizes[k] / edges[k] for k in range(j - 1))
+    return ud, cj - params.attack_cost
 
 
 def ne_utilities(
@@ -168,18 +175,11 @@ def ne_utilities(
 ) -> tuple[float, float]:
     """Equilibrium (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    c0, cd = partition.baseline_cost, params.defense_cost
-    costs, sizes = partition.level_costs, partition.level_sizes
     if regime.kind is RegimeKind.TYPE_I:
-        i = regime.index or 0
-        return -c0 - cd * sum(sizes[:i]), c0
+        c0 = partition.baseline_cost
+        return -c0 - params.defense_cost * sum(partition.level_sizes[: regime.index or 0]), c0
     if regime.kind is RegimeKind.TYPE_II:
-        j = regime.index
-        cj = costs[j - 1]
-        ud = -cj - sum(
-            (costs[k] - cj) * cd * sizes[k] / (costs[k] - c0) for k in range(j - 1)
-        )
-        return ud, cj - params.attack_cost
+        return _concession_utilities(partition, params, regime.index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")
 
 
@@ -196,71 +196,19 @@ def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibr
             " lies on a regime boundary"
         )
     partition = partition_by_cost(profile)
-    c0, ca, cd = partition.baseline_cost, params.attack_cost, params.defense_cost
-    costs, sizes = partition.level_costs, partition.level_sizes
-
-    effort: dict[FacilityId, float] = {}
-    attack: dict[FacilityId, float] = {}
     if regime.kind is RegimeKind.TYPE_I:
-        i = regime.index
-        for k in range(i):
-            ck = costs[k]
-            for fac in partition.levels[k].members:
-                effort[fac] = (ck - ca - c0) / (ck - c0)
-                attack[fac] = cd / (ck - c0)
-        pinned = tuple((fac, attack[fac]) for fac in partition.members_up_to(i))
-        bounds = AttackSetBounds(pinned, (), 0.0, pinned)
+        # every deterred level is attacked at its break-even probability
+        attack = {
+            fac: params.defense_cost / partition.edges[k]
+            for k in range(regime.index)
+            for fac in partition.levels[k].members
+        }
+        eff = _deter(profile, partition, params.attack_cost, regime.index)
         dist = AttackDistribution.over(profile, attack)
     else:
-        j = regime.index
-        cj = costs[j - 1]
-        for k in range(j - 1):
-            ck = costs[k]
-            for fac in partition.levels[k].members:
-                effort[fac] = (ck - cj) / (ck - c0)
-                attack[fac] = cd / (ck - c0)
-        residual = 1.0 - sum(attack.values())
-        free = partition.levels[j - 1].members
-        for fac in free:
-            attack[fac] = residual / len(free)
-        pinned = tuple((fac, cd / (costs[k] - c0))
-                       for k in range(j - 1) for fac in partition.levels[k].members)
-        upper = pinned + tuple((fac, cd / (cj - c0)) for fac in free)
-        bounds = AttackSetBounds(pinned, free, residual, upper)
-        dist = AttackDistribution.over(profile, attack, no_attack=0.0)
-
+        eff, dist = _concede(profile, partition, params.defense_cost, regime.index)
     ud, ua = ne_utilities(profile, params, regime)
-    return NormalFormEquilibrium(
-        regime, EffortVector.over(profile, effort), dist, bounds, ud, ua
-    )
-
-
-def defender_best_response(
-    profile: FacilityProfile,
-    params: CostParams,
-    attack: AttackDistribution,
-    tol: float = 1e-12,
-) -> dict[FacilityId, ResponseLevel]:
-    """Per-facility defender best response to an attack distribution.
-
-    Full effort where the attack probability exceeds the break-even threshold,
-    none below it, and anything goes at (numerical) equality. Facilities whose
-    post-attack cost is not above baseline never deserve effort.
-    """
-    out: dict[FacilityId, ResponseLevel] = {}
-    for fac, ce in profile.facilities:
-        if not ce > profile.baseline_cost:
-            out[fac] = ResponseLevel.ZERO
-            continue
-        bar = threshold_attack_prob(profile, params, fac)
-        sig = attack.prob(fac)
-        if _close(sig, bar, tol):
-            out[fac] = ResponseLevel.FREE
-        elif sig > bar:
-            out[fac] = ResponseLevel.FULL
-        else:
-            out[fac] = ResponseLevel.ZERO
-    return out
+    return NormalFormEquilibrium(regime, eff, dist, ud, ua)
 
 
 def build_attacker_lp(profile: FacilityProfile, params: CostParams):

@@ -19,12 +19,20 @@ from .model import (
     CostParams,
     EffortVector,
     FacilityId,
+    FacilityPartition,
     FacilityProfile,
     NotInIncreasedSet,
     partition_by_cost,
     vulnerable_set,
 )
-from .normalform import BoundaryParameters, _bracket, _close, _cumulative_ratio
+from .normalform import (
+    BoundaryParameters,
+    _close,
+    _concede,
+    _deter,
+    _concession_level,
+    _concession_utilities,
+)
 
 _EQ_TOL = 1e-12  # absolute tolerance for at-threshold comparisons
 
@@ -133,6 +141,12 @@ def attacker_br_sequential(
     return ForcedAttack(tuple(fac for fac in vulnerable if value[fac] >= top - _EQ_TOL))
 
 
+def _curve_offset(partition: FacilityPartition, i: int, j: int) -> float:
+    """a_ij in the curve's piece (i, j), cd = (C(j)-C0) / (a_ij - ca*S_i)."""
+    s_prev = partition.prefix_ratios[j - 2] if j > 1 else 0.0
+    return partition.edges[j - 1] * s_prev + sum(partition.level_sizes[j - 1 : i])
+
+
 def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float:
     """Defense cost at which deterring levels 1..i costs exactly as much as
     conceding an attack pinned down to level j.
@@ -143,25 +157,12 @@ def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float
     partition = partition_by_cost(profile)
     if not (1 <= j <= i <= partition.K):
         raise OutOfDomain(f"need 1 <= j <= i <= {partition.K}, got i={i}, j={j}")
-    c0 = partition.baseline_cost
-    costs, sizes = partition.level_costs, partition.level_sizes
-    attack_ratio = sum(
-        attack_cost * sizes[k] / (costs[k] - c0) for k in range(i)
-    )
-    if j == 1:
-        den = sum(sizes[:i]) - attack_ratio
-        num = costs[0] - c0
-    else:
-        cj = costs[j - 1]
-        den = (
-            (cj - c0) * _cumulative_ratio(partition)[j - 2]
-            + sum(sizes[j - 1 : i])
-            - attack_ratio
-        )
-        num = cj - c0
+    sizes, edges = partition.level_sizes, partition.edges
+    attack_ratio = sum(attack_cost * sizes[k] / edges[k] for k in range(i))
+    den = _curve_offset(partition, i, j) - attack_ratio
     if den <= 0.0:
         raise NonpositiveDenominator(f"cd_{i}{j} denominator {den!r} at attack cost {attack_cost!r}")
-    return num / den
+    return edges[j - 1] / den
 
 
 def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
@@ -171,16 +172,14 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
     threshold at 0, and diverging at the right end of its domain.
     """
     partition = partition_by_cost(profile)
-    c0 = partition.baseline_cost
-    if attack_cost < 0.0 or attack_cost >= partition.level_costs[0] - c0:
-        raise OutOfDomain(
-            f"attack cost {attack_cost!r} outside [0, {partition.level_costs[0] - c0!r})"
-        )
-    i = _bracket(partition, attack_cost)
+    cap = partition.edges[0]
+    if attack_cost < 0.0 or attack_cost >= cap:
+        raise OutOfDomain(f"attack cost {attack_cost!r} outside [0, {cap!r})")
+    i = partition.bracket(attack_cost)
     if i == 0:  # only possible at attack_cost == C(1)-C0, excluded above
         raise OutOfDomain(f"attack cost {attack_cost!r} leaves nothing vulnerable")
     sizes = partition.level_sizes
-    s_i = _cumulative_ratio(partition)[i - 1]
+    s_i = partition.prefix_ratios[i - 1]
     # concession level j grows with the attack cost within the bracket
     j = i
     upper = sizes[i - 1] / s_i
@@ -193,40 +192,34 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
 def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     """Attack cost at which the threshold curve reaches ``defense_cost``.
 
-    Bisection against the strictly increasing curve; raises BelowRange when
-    the defense cost is below the curve's value at zero attack cost.
+    On piece (i, j) the curve is (C(j)-C0) / (a_ij - ca*S_i), so the inverse
+    is ca = (a_ij - (C(j)-C0)/cd) / S_i on the first piece, from the left,
+    whose right end reaches ``defense_cost``. Raises BelowRange when the
+    defense cost is below the curve's value at zero attack cost.
     """
     partition = partition_by_cost(profile)
-    cap = partition.level_costs[0] - partition.baseline_cost
     base = cd_threshold_tilde(profile, 0.0)
     if defense_cost <= base:
         if _close(defense_cost, base, 1e-12):
             return 0.0
         raise BelowRange(f"defense cost {defense_cost!r} below the curve minimum {base!r}")
-    def at_least(ca: float) -> bool:
-        # near the right end the curve overflows its own arithmetic; read that as +inf
-        try:
-            return cd_threshold_tilde(profile, ca) >= defense_cost
-        except (NonpositiveDenominator, OutOfDomain):
-            return True
-
-    top = math.nextafter(cap, 0.0)
-    lo, hi, gap = 0.0, top, cap
-    for _ in range(200):  # bracket from the left; the curve diverges at cap
-        gap *= 0.5
-        hi = min(cap - gap, top)
-        if hi > lo and at_least(hi):
-            break
-        lo = max(lo, hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if at_least(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    edges, sizes = partition.edges, partition.level_sizes
+    for i in range(partition.K, 0, -1):  # brackets, left to right
+        s_i = partition.prefix_ratios[i - 1]
+        left, right = (edges[i] if i < partition.K else 0.0), edges[i - 1]
+        start = 0.0
+        # concession levels, left to right; the piece ends accumulate exactly as
+        # the switch points in cd_threshold_tilde, so both agree on every piece
+        for j in range(i, 0, -1):
+            end = start + sizes[j - 1] / s_i if j > 1 else math.inf
+            lo, hi = max(start, left), min(end, right)
+            start = end
+            if lo >= hi:  # the piece lies outside the bracket
+                continue
+            ca = (_curve_offset(partition, i, j) - edges[j - 1] / defense_cost) / s_i
+            if ca <= hi:
+                return max(ca, lo)
+    return edges[0]  # beyond the last piece's float range: the curve diverges at C(1)-C0
 
 
 def classify_regime_spe(
@@ -235,35 +228,27 @@ def classify_regime_spe(
     """Locate the parameters in the sequential game's regime diagram."""
     partition = partition_by_cost(profile)
     ca, cd = params.attack_cost, params.defense_cost
-    c0 = partition.baseline_cost
-    costs = partition.level_costs
+    edges = partition.edges
 
-    for k in range(1, partition.K + 1):
-        edge = costs[k - 1] - c0
+    for k, edge in enumerate(edges, start=1):
         if _close(ca, edge, tol):
             if k == 1:
                 return SpeRegime(SpeRegimeKind.BOUNDARY, None)
             tilde_there = cd_threshold_tilde(profile, edge)
             if cd < tilde_there or _close(cd, tilde_there, tol):
                 return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    if ca > costs[0] - c0:
+    if ca > edges[0]:
         return SpeRegime(SpeRegimeKind.TYPE_I, 0)
 
     tilde = cd_threshold_tilde(profile, ca)
     if _close(cd, tilde, tol):
         return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    i = _bracket(partition, ca)
     if cd < tilde:
-        return SpeRegime(SpeRegimeKind.TYPE_I, i)
-    bands = [1.0 / s for s in _cumulative_ratio(partition)]
-    for j in range(1, partition.K + 1):
-        if _close(cd, bands[j - 1], tol):
-            return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    for j in range(1, partition.K + 1):
-        upper = math.inf if j == 1 else bands[j - 2]
-        if bands[j - 1] < cd < upper:
-            return SpeRegime(SpeRegimeKind.TYPE_II, j)
-    return SpeRegime(SpeRegimeKind.BOUNDARY, None)  # cd at/below the last band constant
+        return SpeRegime(SpeRegimeKind.TYPE_I, partition.bracket(ca))
+    j = _concession_level(partition, cd, partition.K, tol)
+    if j is None or j > partition.K:  # on a band constant, or below the last one
+        return SpeRegime(SpeRegimeKind.BOUNDARY, None)
+    return SpeRegime(SpeRegimeKind.TYPE_II, j)
 
 
 def spe_utilities(
@@ -271,21 +256,13 @@ def spe_utilities(
 ) -> tuple[float, float]:
     """Equilibrium-path (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    c0, ca, cd = partition.baseline_cost, params.attack_cost, params.defense_cost
-    costs, sizes = partition.level_costs, partition.level_sizes
     if regime.kind is SpeRegimeKind.TYPE_I:
-        i = regime.index or 0
-        spend = sum(
-            (costs[k] - ca - c0) / (costs[k] - c0) * sizes[k] for k in range(i)
-        )
-        return -c0 - cd * spend, c0
+        c0, ca = partition.baseline_cost, params.attack_cost
+        costs, sizes, edges = partition.level_costs, partition.level_sizes, partition.edges
+        spend = sum((costs[k] - ca - c0) / edges[k] * sizes[k] for k in range(regime.index or 0))
+        return -c0 - params.defense_cost * spend, c0
     if regime.kind is SpeRegimeKind.TYPE_II:
-        j = regime.index
-        cj = costs[j - 1]
-        ud = -cj - sum(
-            (costs[k] - cj) * cd * sizes[k] / (costs[k] - c0) for k in range(j - 1)
-        )
-        return ud, cj - ca
+        return _concession_utilities(partition, params, regime.index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")
 
 
@@ -304,33 +281,11 @@ def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:
             " lies on a regime boundary"
         )
     partition = partition_by_cost(profile)
-    c0, ca, cd = partition.baseline_cost, params.attack_cost, params.defense_cost
-    costs = partition.level_costs
-
-    effort: dict[FacilityId, float] = {}
     if regime.kind is SpeRegimeKind.TYPE_I:
-        for k in range(regime.index):
-            for fac in partition.levels[k].members:
-                effort[fac] = (costs[k] - ca - c0) / (costs[k] - c0)
+        eff = _deter(profile, partition, params.attack_cost, regime.index)
         on_path = OnPathAttack(True, (), AttackDistribution.over(profile, {}))
     else:
-        j = regime.index
-        cj = costs[j - 1]
-        attack: dict[FacilityId, float] = {}
-        for k in range(j - 1):
-            ck = costs[k]
-            for fac in partition.levels[k].members:
-                effort[fac] = (ck - cj) / (ck - c0)
-                attack[fac] = cd / (ck - c0)
-        residual = 1.0 - sum(attack.values())
-        free = partition.levels[j - 1].members
-        for fac in free:
-            attack[fac] = residual / len(free)
-        on_path = OnPathAttack(
-            False,
-            partition.members_up_to(j),
-            AttackDistribution.over(profile, attack, no_attack=0.0),
-        )
-
+        eff, witness = _concede(profile, partition, params.defense_cost, regime.index)
+        on_path = OnPathAttack(False, partition.members_up_to(regime.index), witness)
     ud, ua = spe_utilities(profile, params, regime)
-    return SpeOutcome(regime, EffortVector.over(profile, effort), on_path, ud, ua)
+    return SpeOutcome(regime, eff, on_path, ud, ua)

@@ -57,15 +57,10 @@ def random_network(rng: np.random.Generator, max_routes: int = 6) -> RoutedNetwo
 def off_boundary(profile: FacilityProfile, ca: float, cd: float, margin: float = BOUNDARY_MARGIN) -> bool:
     """True when (ca, cd) keeps ``margin`` distance from every regime boundary."""
     partition = partition_by_cost(profile)
-    c0 = partition.baseline_cost
-    s = 0.0
-    for cost, size in zip(partition.level_costs, partition.level_sizes):
-        if abs(ca - (cost - c0)) < margin:
+    for edge, band in zip(partition.edges, partition.bands):
+        if abs(ca - edge) < margin or abs(cd - band) < margin:
             return False
-        s += size / (cost - c0)
-        if abs(cd - 1.0 / s) < margin:
-            return False
-    if ca < partition.level_costs[0] - c0:
+    if ca < partition.edges[0]:
         try:
             tilde = cd_threshold_tilde(profile, ca)
         except (OutOfDomain, NonpositiveDenominator):

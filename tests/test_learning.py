@@ -118,6 +118,16 @@ def test_run_simulation_config_validation(cal_network):
         run_simulation(SimulationConfig(cal_network, prior, leaky, 3.0, 5, 0))
 
 
+def test_run_simulation_rejects_states_that_are_not_edges():
+    net = single_edge_net()
+    ghost = Belief((("ghost", 0.5), (None, 0.5)))
+    with pytest.raises(LearningError, match="ghost"):
+        run_simulation(SimulationConfig(net, ghost, StateDistribution.point(None), 3.0, 5, 0))
+    prior = Belief((("g0", 0.5), (None, 0.5)))
+    with pytest.raises(LearningError, match="ghost"):
+        run_simulation(SimulationConfig(net, prior, StateDistribution.point("ghost"), 3.0, 5, 0))
+
+
 def test_run_simulation_is_reproducible(cal_network):
     prior = Belief((("e1", 0.25), ("e2", 0.25), (None, 0.5)))
     dist = StateDistribution((("e1", 0.3), ("e2", 0.3), (None, 0.4)))

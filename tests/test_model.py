@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from facsec.model import (
     AttackDistribution,
@@ -8,15 +6,11 @@ from facsec.model import (
     EffortVector,
     EmptyVulnerableUniverse,
     FacilityProfile,
-    MixedDefense,
     ModelError,
     classify_facilities,
-    effort_from_mixed,
     expected_utilities,
-    mixed_from_effort,
     partition_by_cost,
     vulnerable_set,
-    zero_sum_utilities,
 )
 
 
@@ -50,6 +44,10 @@ def test_classification_and_partition(profile3):
     assert part3.level_costs == (20.0, 19.0, 18.0)
     assert part3.level_sizes == (1, 1, 1)
     assert part3.members_up_to(2) == ("e1", "e2")
+    assert part3.edges == (3.0, 2.0, 1.0)
+    assert part3.prefix_ratios == pytest.approx((1 / 3, 5 / 6, 11 / 6), rel=1e-15)
+    assert part3.bands == pytest.approx((3.0, 6 / 5, 6 / 11), rel=1e-15)
+    assert [part3.bracket(ca) for ca in (0.5, 1.0, 2.5, 3.0)] == [3, 2, 1, 0]
 
 
 def test_partition_requires_an_increased_facility():
@@ -87,35 +85,6 @@ def test_attack_distribution_residual_and_support(profile3):
         AttackDistribution.over(profile3, {"e1": 0.8, "e2": 0.8})
 
 
-def test_mixed_defense_weights_must_sum_to_one():
-    with pytest.raises(ModelError):
-        MixedDefense(((frozenset({"a"}), 0.5),))
-
-
-def test_nested_level_sets_match_marginals(profile3):
-    eff = EffortVector.over(profile3, {"e1": 0.8, "e2": 0.5, "e3": 0.5})
-    mixed = mixed_from_effort(profile3, eff)
-    sets = mixed.as_dict()
-    assert sets[frozenset({"e1"})] == pytest.approx(0.3)
-    assert sets[frozenset({"e1", "e2", "e3"})] == pytest.approx(0.5)
-    assert sets[frozenset()] == pytest.approx(0.2)
-    back = effort_from_mixed(profile3, mixed)
-    assert back.as_dict() == pytest.approx(eff.as_dict())
-
-
-@settings(max_examples=200)
-@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
-def test_mixed_from_effort_round_trips(values):
-    profile = FacilityProfile(5.0, tuple((f"f{i}", 6.0 + i) for i in range(len(values))))
-    eff = EffortVector.over(profile, {f"f{i}": v for i, v in enumerate(values)})
-    mixed = mixed_from_effort(profile, eff)
-    total = sum(w for _, w in mixed.weights)
-    assert total == pytest.approx(1.0)
-    back = effort_from_mixed(profile, mixed)
-    for fac, v in eff.efforts:
-        assert back.get(fac) == pytest.approx(v, abs=1e-12)
-
-
 def test_expected_utilities_pure_cases(profile3):
     params = CostParams(0.5, 0.3)
     none = EffortVector.over(profile3)
@@ -133,16 +102,6 @@ def test_expected_utilities_pure_cases(profile3):
     ud, ua = expected_utilities(profile3, params, guard, idle)
     assert ud == pytest.approx(-17.3)
     assert ua == pytest.approx(17.0)
-
-
-def test_zero_sum_shift_is_defense_spending(profile3):
-    params = CostParams(0.5, 0.3)
-    eff = EffortVector.over(profile3, {"e1": 0.5, "e2": 0.25})
-    atk = AttackDistribution.over(profile3, {"e1": 0.4})
-    _, ua = expected_utilities(profile3, params, eff, atk)
-    neg, pos = zero_sum_utilities(profile3, params, eff, atk)
-    assert pos == pytest.approx(ua + 0.3 * 0.75)
-    assert neg == -pos
 
 
 def test_utilities_are_bilinear_in_the_attack(profile3):

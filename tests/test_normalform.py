@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from facsec.model import (
-    AttackDistribution,
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
@@ -12,24 +9,14 @@ from facsec.model import (
 from facsec.normalform import (
     BoundaryParameters,
     RegimeKind,
-    ResponseLevel,
     build_attacker_lp,
     cd_threshold_bar,
     classify_regime_ne,
-    defender_best_response,
     solve_ne,
-    threshold_attack_prob,
 )
 from facsec.oracle import verify_ne
 
 from conftest import random_game
-
-
-def test_threshold_attack_prob(profile3):
-    params = CostParams(0.5, 0.3)
-    assert threshold_attack_prob(profile3, params, "e1") == pytest.approx(0.1)
-    assert threshold_attack_prob(profile3, params, "e2") == pytest.approx(0.15)
-    assert threshold_attack_prob(profile3, params, "e3") == pytest.approx(0.3)
 
 
 def test_cd_threshold_bar(profile3):
@@ -66,8 +53,6 @@ def test_solve_ne_type_one(profile3):
     assert eq.effort.as_dict() == pytest.approx({"e1": 5 / 6, "e2": 3 / 4, "e3": 1 / 2})
     assert eq.attack.as_dict() == pytest.approx({"e1": 0.1, "e2": 0.15, "e3": 0.3})
     assert eq.attack.no_attack == pytest.approx(0.45)
-    assert eq.attack_bounds.free == ()
-    assert eq.attack_bounds.free_mass == 0.0
     assert eq.defender_utility == pytest.approx(-17.9)
     assert eq.attacker_utility == pytest.approx(17.0)
 
@@ -77,10 +62,8 @@ def test_solve_ne_type_two(profile3):
     assert eq.regime.label == "II-3"
     assert eq.effort.as_dict() == pytest.approx({"e1": 2 / 3, "e2": 1 / 2, "e3": 0.0})
     assert eq.attack.no_attack == 0.0
-    assert dict(eq.attack_bounds.pinned) == pytest.approx({"e1": 0.8 / 3, "e2": 0.4})
-    assert eq.attack_bounds.free == ("e3",)
-    assert eq.attack_bounds.free_mass == pytest.approx(1 - 0.8 / 3 - 0.4)
-    assert dict(eq.attack_bounds.upper)["e3"] == pytest.approx(0.8)
+    # e1, e2 at their break-even probabilities; e3 absorbs the rest, below its own 0.8
+    assert eq.attack.as_dict() == pytest.approx({"e1": 0.8 / 3, "e2": 0.4, "e3": 1 - 0.8 / 3 - 0.4})
     assert eq.defender_utility == pytest.approx(-18 - 0.8 * (2 / 3 + 1 / 2))
     assert eq.attacker_utility == pytest.approx(17.5)
 
@@ -107,15 +90,6 @@ def test_duplicate_cost_levels_share_threshold():
     assert eff["a"] == eff["b"] == pytest.approx(3 / 4)
     atk = eq.attack.as_dict()
     assert atk["a"] == atk["b"] == pytest.approx(0.125)
-
-
-def test_defender_best_response_levels(profile3):
-    params = CostParams(0.5, 0.3)
-    atk = AttackDistribution.over(profile3, {"e1": 0.2, "e2": 0.05, "e3": 0.3})
-    br = defender_best_response(profile3, params, atk)
-    assert br["e1"] is ResponseLevel.FULL
-    assert br["e2"] is ResponseLevel.ZERO
-    assert br["e3"] is ResponseLevel.FREE
 
 
 def test_attacker_lp_shape(profile3):

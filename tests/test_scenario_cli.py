@@ -251,3 +251,11 @@ def test_cli_out_mirrors_stdout(capsys, tmp_path):
     code, out = run_cli(capsys, "solve-ne", "--scenario", str(THREE), "--out", str(dest))
     assert code == 0
     assert dest.read_text() == out
+
+
+def test_readme_python_snippet_runs(capsys):
+    text = (REPO / "README.md").read_text()
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
+    assert capsys.readouterr().out.count("\n") == 3

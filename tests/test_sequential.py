@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from facsec.model import CostParams, EffortVector
+from facsec.model import CostParams, EffortVector, FacilityProfile, partition_by_cost
 from facsec.normalform import BoundaryParameters, solve_ne
 from facsec.oracle import verify_spe
 from facsec.sequential import (
     BelowRange,
     DeterredMix,
     ForcedAttack,
+    NonpositiveDenominator,
     OutOfDomain,
     SpeRegimeKind,
     attacker_br_sequential,
@@ -96,6 +99,25 @@ def test_tilde_inverse_golden(profile3):
     assert cd_tilde_inverse(profile3, 1e6) == pytest.approx(3.0, abs=1e-4)
     with pytest.raises(BelowRange):
         cd_tilde_inverse(profile3, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1.0, 50.0),
+    st.lists(st.floats(0.01, 20.0), min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), max_size=4),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_tilde_inverse_recovers_the_attack_cost(c0, rises, repeats, frac):
+    # repeated rises put several facilities on one cost level
+    rises = rises + [rises[r % len(rises)] for r in repeats]
+    profile = FacilityProfile(c0, tuple((f"f{t}", c0 + rise) for t, rise in enumerate(rises)))
+    ca = frac * partition_by_cost(profile).edges[0]
+    try:
+        cd = cd_threshold_tilde(profile, ca)
+    except (NonpositiveDenominator, OutOfDomain):
+        assume(False)
+    assert abs(cd_tilde_inverse(profile, cd) - ca) <= 1e-12 * max(1.0, ca)
 
 
 def test_classify_regime_spe_golden(profile3):
