@@ -16,7 +16,7 @@ from .analysis import InternalInconsistency, compare_games, regime_sweep, write_
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
 from .model import EffortVector
 from .normalform import BoundaryParameters, build_attacker_lp, solve_ne
-from .oracle import SimplexIterationLimit, simplex_solve, verify_ne, verify_spe
+from .oracle import SimplexIterationLimit, check_grid_step, simplex_solve, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
 from .sequential import solve_spe
 
@@ -150,6 +150,7 @@ def _cmd_regimes(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
+    check_grid_step(args.grid_step)
     profile, params = scenario.profile, scenario.params
     lp_sol = simplex_solve(build_attacker_lp(profile, params))
     try:

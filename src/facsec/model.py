@@ -57,10 +57,6 @@ class FacilityProfile:
             if not cost > 0:
                 raise ModelError(f"post-attack cost of {fac!r} must be positive")
 
-    @classmethod
-    def from_mapping(cls, baseline_cost: float, costs: Mapping[FacilityId, float]) -> "FacilityProfile":
-        return cls(baseline_cost, tuple(costs.items()))
-
     @cached_property
     def _cost_map(self) -> dict[FacilityId, float]:
         return dict(self.facilities)

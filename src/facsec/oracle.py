@@ -388,6 +388,12 @@ def defender_utility_vs_br(
     return -best - spend
 
 
+def check_grid_step(grid_step: float) -> None:
+    """Raise ValueError unless ``grid_step`` lies in (0, 1]."""
+    if not 0.0 < grid_step <= 1.0:
+        raise ValueError(f"grid step must be in (0, 1], got {grid_step!r}")
+
+
 def verify_spe(
     profile: FacilityProfile,
     params: CostParams,
@@ -399,10 +405,11 @@ def verify_spe(
     """Grid-check leader optimality of a claimed effort/utility pair.
 
     Scans the product grid over [0, threshold] per vulnerable facility (step
-    ``grid_step``, thresholds included exactly; non-vulnerable effort pinned at
-    0, which is never useful). The claimed utility must (a) be attained by the
-    claimed effort against a best-responding attacker and (b) not be beaten by
-    any grid point beyond eps + defense_cost * |facilities| * grid_step.
+    ``grid_step`` in (0, 1], else ValueError; thresholds included exactly;
+    non-vulnerable effort pinned at 0, which is never useful). The claimed
+    utility must (a) be attained by the claimed effort against a
+    best-responding attacker and (b) not be beaten by any grid point beyond
+    eps + defense_cost * |facilities| * grid_step.
 
     The grid maximum is evaluated exactly without materializing the product
     grid: the anti-utility is -max_e g_e(rho_e) - cd * sum(rho) with g_e
@@ -410,6 +417,7 @@ def verify_spe(
     are the smallest grid points below it, which reduces the search to one
     sweep per (facility, grid value) pair.
     """
+    check_grid_step(grid_step)
     c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
     vulnerable = [
         (fac, ce) for fac, ce in profile.facilities if ce - ca > c0

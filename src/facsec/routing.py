@@ -2,21 +2,22 @@
 
 Networks are a set of routes over shared edges; each edge carries a nominal
 and a compromised affine latency. The equilibrium is the minimizer of the
-Beckmann potential, found by solving the equal-cost linear system on an
-active route set and dropping routes whose flow goes negative.
+Beckmann potential (Beckmann, McGuire & Winsten 1956). For affine latencies
+its optimality conditions are a monotone linear complementarity problem,
+which Lemke's complementary pivoting (Lemke 1965) solves in one terminating
+pivot sequence. Routes over the same edges share their flow evenly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
 
-_FLOW_TOL = 1e-12
-_COST_TOL = 1e-9
+_PIVOT_TOL = 1e-12  # column entries at or below this do not bound a ratio test
+_PIVOT_BUDGET = 20  # pivots allowed per LCP row before giving up
 
 
 class NetworkError(ValueError):
@@ -89,6 +90,19 @@ class RoutedNetwork:
     def _edges_by_id(self) -> dict[str, Edge]:
         return {e.edge_id: e for e in self.edges}
 
+    @cached_property
+    def _route_columns(self) -> tuple[list[str], np.ndarray, list[int], list[int]]:
+        """The edges some route uses, their incidence matrix over the distinct
+        route edge multisets, each route's column, and how many routes share it."""
+        keys: dict[tuple[str, ...], int] = {}
+        column = [keys.setdefault(tuple(sorted(r.edges)), len(keys)) for r in self.routes]
+        used = sorted({e for r in self.routes for e in r.edges})
+        incidence = np.zeros((len(used), len(keys)))
+        for key, k in keys.items():
+            for e in key:
+                incidence[used.index(e), k] += 1.0
+        return used, incidence, column, [column.count(k) for k in column]
+
     @property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.edge_id for e in self.edges)
@@ -117,33 +131,6 @@ def latencies_for_state(
     }
 
 
-def _solve_active(
-    routes: tuple[Route, ...],
-    latencies: Mapping[str, AffineLatency],
-    demand: float,
-    active: list[int],
-) -> Optional[np.ndarray]:
-    # equal-cost system: route costs all equal mu, flows sum to demand
-    m = len(active)
-    a = np.zeros((m + 1, m + 1))
-    b = np.zeros(m + 1)
-    for i, ri in enumerate(active):
-        edges_i = set(routes[ri].edges)
-        for j, rj in enumerate(active):
-            a[i, j] = sum(latencies[e].slope for e in edges_i & set(routes[rj].edges))
-        a[i, m] = -1.0
-        b[i] = -sum(latencies[e].intercept for e in routes[ri].edges)
-    a[m, :m] = 1.0
-    b[m] = demand
-    try:
-        sol = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(a, b, rcond=None)[0]
-    if not np.all(np.isfinite(sol)) or not np.allclose(a @ sol, b, atol=1e-7, rtol=0.0):
-        return None
-    return sol
-
-
 def _assemble(
     network: RoutedNetwork,
     latencies: Mapping[str, AffineLatency],
@@ -160,23 +147,23 @@ def _assemble(
     return FlowAssignment(flows, loads, costs)
 
 
-def _wardrop_ok(assign: FlowAssignment) -> bool:
-    cheapest = min(assign.route_costs.values())
-    return all(
-        assign.route_costs[rid] <= cheapest + _COST_TOL
-        for rid, q in assign.route_flows.items()
-        if q > _COST_TOL
-    )
-
-
 def wardrop_equilibrium(
     network: RoutedNetwork, latencies: Mapping[str, AffineLatency]
 ) -> FlowAssignment:
     """Equilibrium flow assignment under the given effective latencies.
 
-    Every used route's cost is within 1e-9 of the cheapest route's cost. If
-    the active-set iteration fails to produce such a flow (degenerate slopes),
-    falls back to enumerating route subsets, largest first.
+    Routes over the same edges are merged into one column of the incidence
+    matrix R. The flows q >= 0, summing to the demand, with every used route
+    at cost mu - 1 and no route cheaper, solve the linear complementarity problem
+
+        w = M'(q, mu) + q' >= 0,  (q, mu) >= 0,  wᵀ(q, mu) = 0,
+        M' = [[M, -1], [1ᵀ, 0]],  q' = (β + 1, -demand),
+
+    with M = Rᵀ diag(slope) R and β = Rᵀ intercept. M' is positive
+    semidefinite, so Lemke's method with a lexicographic ratio test reaches a
+    solution. The +1 keeps mu positive, so the flows sum to the demand even on
+    zero-latency routes. A column's flow is split evenly over its routes;
+    routes outside the final basis get exactly 0.0.
     """
     missing = [e for r in network.routes for e in r.edges if e not in latencies]
     if missing:
@@ -185,39 +172,50 @@ def wardrop_equilibrium(
     if network.demand <= 0.0:
         return _assemble(network, latencies, {r.route_id: 0.0 for r in routes})
 
-    def finish(active: list[int], q: np.ndarray) -> Optional[FlowAssignment]:
-        flows = {r.route_id: 0.0 for r in routes}
-        for idx, ri in enumerate(active):
-            flows[routes[ri].route_id] = max(0.0, float(q[idx]))
-        assign = _assemble(network, latencies, flows)
-        return assign if _wardrop_ok(assign) else None
+    used, incidence, column, sharing = network._route_columns
+    slope = np.array([latencies[e].slope for e in used])
+    intercept = np.array([latencies[e].intercept for e in used])
 
-    active = list(range(len(routes)))
-    while active:
-        sol = _solve_active(routes, latencies, network.demand, active)
-        if sol is None:
+    n = incidence.shape[1] + 1
+    m_prime = np.zeros((n, n))
+    m_prime[:-1, :-1] = (incidence.T * slope) @ incidence
+    m_prime[:-1, -1] = -1.0
+    m_prime[-1, :-1] = 1.0
+    q_prime = np.append(intercept @ incidence + 1.0, -network.demand)
+    # tableau [B^-1 | -M' | -1 | q'] over w (columns 0..n-1), z = (q, mu)
+    # (n..2n-1) and the artificial z0 (2n); B^-1 orders exact ratio ties
+    tab = np.hstack([np.eye(n), -m_prime, -np.ones((n, 1)), q_prime[:, None]])
+    basis = list(range(n))
+    row, entering = n - 1, 2 * n  # -demand is the only negative entry of q'
+    for _ in range(_PIVOT_BUDGET * n):
+        pivot = tab[row] / tab[row, entering]
+        tab -= tab[:, entering, None] * pivot
+        tab[row] = pivot
+        leaving, basis[row] = basis[row], entering
+        if leaving == 2 * n:
             break
-        q = sol[:-1]
-        worst = int(np.argmin(q))
-        if q[worst] >= -_FLOW_TOL:
-            assign = finish(active, q)
-            if assign is not None:
-                return assign
-            break
-        active.pop(worst)
+        entering = leaving + n if leaving < n else leaving - n
+        entries = tab[:, entering]
+        rows = np.flatnonzero(entries > _PIVOT_TOL)
+        if not rows.size:
+            raise NetworkError("Lemke's method ended on a ray; check the latency coefficients")
+        ratios = tab[rows, -1] / entries[rows]
+        rows = rows[ratios == ratios.min()]
+        for k in range(n):
+            if rows.size == 1:
+                break
+            keys = tab[rows, k] / entries[rows]
+            rows = rows[keys == keys.min()]
+        row = int(rows[0])
+    else:
+        raise NetworkError("Wardrop pivot budget exhausted; check the latency coefficients")
 
-    for size in range(len(routes), 0, -1):
-        for combo in itertools.combinations(range(len(routes)), size):
-            sol = _solve_active(routes, latencies, network.demand, list(combo))
-            if sol is None:
-                continue
-            q = sol[:-1]
-            if np.min(q) < -_FLOW_TOL:
-                continue
-            assign = finish(list(combo), q)
-            if assign is not None:
-                return assign
-    raise NetworkError("no Wardrop equilibrium found; check the latency coefficients")
+    value = dict(zip(basis, tab[:, -1].tolist()))
+    flows = {
+        r.route_id: max(0.0, value.get(n + k, 0.0)) / size
+        for r, k, size in zip(routes, column, sharing)
+    }
+    return _assemble(network, latencies, flows)
 
 
 def beckmann_potential(

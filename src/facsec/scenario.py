@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from .learning import Belief, LearningError
 from .model import CostParams, FacilityProfile, ModelError
@@ -78,6 +78,14 @@ def _integer(token: str, where: str) -> int:
         raise ScenarioError(f"{where}: not an integer: {token!r}") from None
 
 
+# [learning] settings that may appear once each, with the parser of their value.
+_LEARNING_SETTINGS = {
+    "noise_half_width": _number,
+    "horizon": _integer,
+    "true_state": lambda token, where: token,
+}
+
+
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     section: Optional[str] = None
     section_line = {name: 0 for name in _SECTIONS}
@@ -89,9 +97,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     demand: Optional[float] = None
     edges: list[Edge] = []
     routes: list[Route] = []
-    noise: Optional[float] = None
-    horizon = 100
-    true_state = "ne"
+    settings: dict[str, Union[float, int, str]] = {}
     prior_rows: list[tuple[Optional[str], float]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,12 +159,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 )
 
         elif section == "learning":
-            if tokens[0] == "noise_half_width" and len(tokens) == 2:
-                noise = _number(tokens[1], where)
-            elif tokens[0] == "horizon" and len(tokens) == 2:
-                horizon = _integer(tokens[1], where)
-            elif tokens[0] == "true_state" and len(tokens) == 2:
-                true_state = tokens[1]
+            if tokens[0] in _LEARNING_SETTINGS and len(tokens) == 2:
+                if tokens[0] in settings:
+                    raise ScenarioError(f"{where}: duplicate {tokens[0]}")
+                settings[tokens[0]] = _LEARNING_SETTINGS[tokens[0]](tokens[1], where)
             elif tokens[0] == "prior" and len(tokens) == 3:
                 state = None if tokens[1] == "none" else tokens[1]
                 prior_rows.append((state, _number(tokens[2], where)))
@@ -196,6 +200,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     learning: Optional[LearningSettings] = None
     if "learning" in seen:
         at = f"{source}:{section_line['learning']}"
+        noise = settings.get("noise_half_width")
+        horizon = settings.get("horizon", 100)
+        true_state = settings.get("true_state", "ne")
         if network is None:
             raise ScenarioError(f"{at}: [learning] requires a [network] section")
         if noise is None:

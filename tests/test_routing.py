@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,34 @@ def test_identical_routes_split_degenerately():
     flow = wardrop_equilibrium(net, latencies_for_state(net, None))
     assert flow.edge_loads["a"] == pytest.approx(8.0)
     assert flow.route_costs["p0"] == flow.route_costs["p1"]
+    assert flow.route_flows["p0"] == flow.route_flows["p1"] == 4.0
+
+
+def test_most_negative_flow_is_not_always_unused():
+    """Solving the equal-cost system on all routes gives p2 the most negative
+    flow, yet the equilibrium routes 15/4 on p2 and 13/4 on p4 at cost 51/4;
+    dropping the most negative route repeatedly ends at {p1, p4} at cost 17,
+    where the unused p2 costs 34/3."""
+    lats = [AffineLatency(1.0, 9.0), AffineLatency(1.0, 9.0), AffineLatency(2.0, 1.0),
+            AffineLatency(3.0, 3.0), AffineLatency(1.0, 6.0)]
+    net = RoutedNetwork(
+        tuple(Edge(f"g{i}", lat, lat) for i, lat in enumerate(lats)),
+        (
+            Route("p0", ("g2", "g3", "g4")),
+            Route("p1", ("g1", "g2")),
+            Route("p2", ("g1",)),
+            Route("p3", ("g0", "g2", "g3")),
+            Route("p4", ("g3",)),
+        ),
+        7.0,
+    )
+    flow = wardrop_equilibrium(net, latencies_for_state(net, None))
+    expected = {"p0": 0.0, "p1": 0.0, "p2": 3.75, "p3": 0.0, "p4": 3.25}
+    for rid, q in expected.items():
+        assert flow.route_flows[rid] == pytest.approx(q, abs=1e-12)
+    costs = {"p0": 19.75, "p1": 13.75, "p2": 12.75, "p3": 22.75, "p4": 12.75}
+    for rid, c in costs.items():
+        assert flow.route_costs[rid] == pytest.approx(c, abs=1e-12)
 
 
 def test_equilibrium_minimizes_the_potential(cal_network):
@@ -123,16 +153,78 @@ def test_equilibrium_minimizes_the_potential(cal_network):
         assert base <= beckmann_potential(lats, loads) + 1e-9
 
 
+def assert_wardrop(net: RoutedNetwork, flow) -> None:
+    """Flows are nonnegative, meet the demand, and every route that carries
+    flow is within 1e-9 of the cheapest route."""
+    assert all(q >= 0.0 for q in flow.route_flows.values())
+    assert sum(flow.route_flows.values()) == pytest.approx(net.demand, abs=1e-7)
+    cheapest = min(flow.route_costs.values())
+    for rid, q in flow.route_flows.items():
+        if q > 0.0:
+            assert flow.route_costs[rid] <= cheapest + 1e-9
+
+
 def test_random_networks_reach_equilibrium():
     rng = np.random.default_rng(2718)
     for _ in range(30):
         net = random_network(rng)
         state = None if rng.random() < 0.5 else str(rng.choice(net.edge_ids))
-        flow = wardrop_equilibrium(net, latencies_for_state(net, state))
-        total = sum(flow.route_flows.values())
-        assert total == pytest.approx(net.demand, abs=1e-7)
-        assert all(q >= 0.0 for q in flow.route_flows.values())
-        cheapest = min(flow.route_costs.values())
-        for rid, q in flow.route_flows.items():
-            if q > 1e-9:
-                assert flow.route_costs[rid] <= cheapest + 1e-9
+        assert_wardrop(net, wardrop_equilibrium(net, latencies_for_state(net, state)))
+
+
+def degenerate_variant(rng: np.random.Generator, net: RoutedNetwork) -> RoutedNetwork:
+    """``net`` with some edge slopes or intercepts (or both) set to zero and up
+    to three routes repeated over the same edges in another order."""
+    edges = []
+    for e in net.edges:
+        slope, intercept = e.nominal.slope, e.nominal.intercept
+        u = rng.random()
+        if u < 0.3:
+            slope = 0.0
+        elif u < 0.6:
+            intercept = 0.0
+        elif u < 0.7:
+            slope = intercept = 0.0
+        edges.append(
+            Edge(
+                e.edge_id,
+                AffineLatency(slope, intercept),
+                AffineLatency(slope + e.compromised.slope - e.nominal.slope,
+                              intercept + e.compromised.intercept - e.nominal.intercept),
+            )
+        )
+    routes = list(net.routes)
+    for t in range(int(rng.integers(0, 4))):
+        twin = routes[int(rng.integers(len(routes)))]
+        routes.append(Route(f"d{t}", tuple(str(e) for e in rng.permutation(twin.edges))))
+    return RoutedNetwork(tuple(edges), tuple(routes), net.demand)
+
+
+def test_stress_networks_reach_equilibrium_quickly():
+    """Up to 23 routes, with zero-slope and zero-intercept edges and routes
+    over identical edges: Wardrop conditions hold, routes over the same edges
+    carry the same flow, and the whole batch solves within a 20 s alarm (it
+    takes about 0.4 s on a 2-CPU machine; enumerating route subsets takes
+    minutes on single networks here)."""
+
+    def out_of_time(signum, frame):
+        raise AssertionError("the stress batch exceeded 20 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 20.0)
+    try:
+        rng = np.random.default_rng(20260418)
+        for i in range(400):
+            net = random_network(rng, max_routes=20)
+            if i % 2:
+                net = degenerate_variant(rng, net)
+            state = None if rng.random() < 0.5 else str(rng.choice(net.edge_ids))
+            flow = wardrop_equilibrium(net, latencies_for_state(net, state))
+            assert_wardrop(net, flow)
+            by_edges = {}
+            for route in net.routes:
+                by_edges.setdefault(tuple(sorted(route.edges)), []).append(flow.route_flows[route.route_id])
+            assert all(len(set(qs)) == 1 for qs in by_edges.values())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -82,6 +82,15 @@ def test_semantic_errors_anchor_to_their_section():
         parse_scenario(base + net + "[learning]\nnoise_half_width 1\nprior none 1\ntrue_state ghost\n")
 
 
+def test_repeated_learning_settings_are_rejected():
+    text = THREE.read_text()
+    for line in ("noise_half_width 3", "horizon 100", "true_state ne"):
+        doubled = text.replace(line, f"{line}\n{line}")
+        lineno = doubled.splitlines().index(line) + 2
+        with pytest.raises(ScenarioError, match=rf":{lineno}: duplicate {line.split()[0]}"):
+            parse_scenario(doubled)
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="No such file"):
         load_scenario(str(tmp_path / "absent.scn"))
@@ -199,6 +208,15 @@ def test_cli_verify_catches_perturbations(capsys):
     assert "-- FAILED" in out
 
 
+def test_cli_verify_rejects_bad_grid_step(capsys, tmp_path):
+    boundary = patched(tmp_path, "edge.scn", "attack_cost 0.5", "attack_cost 3.0")
+    for scn in (THREE, boundary):
+        for step in ("0", "-0.5", "1.5"):
+            code, out = run_cli(capsys, "verify", "--scenario", str(scn), "--grid-step", step)
+            assert code == 1
+            assert out.startswith("error: grid step must be in (0, 1]")
+
+
 def test_cli_regimes_csv(capsys, tmp_path):
     out_file = tmp_path / "grid.csv"
     code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "0:4:8,0:4:8", "--out", str(out_file))
@@ -253,9 +271,17 @@ def test_cli_out_mirrors_stdout(capsys, tmp_path):
     assert dest.read_text() == out
 
 
-def test_readme_python_snippet_runs(capsys):
-    text = (REPO / "README.md").read_text()
-    blocks = text.split("```python\n")[1:]
+def python_block(name):
+    blocks = (REPO / name).read_text().split("```python\n")[1:]
     assert len(blocks) == 1
-    exec(blocks[0].split("```")[0], {})
+    return blocks[0].split("```")[0]
+
+
+def test_readme_python_snippet_runs(capsys):
+    exec(python_block("README.md"), {})
+    assert capsys.readouterr().out.count("\n") == 3
+
+
+def test_paper_python_snippet_runs(capsys):
+    exec(python_block("PAPER.md"), {})
     assert capsys.readouterr().out.count("\n") == 3
