@@ -1,7 +1,7 @@
 """Solvers for a facility-security attacker-defender game.
 
 Closed-form equilibria of the simultaneous and defender-first games, an
-LP/grid oracle layer for verifying them, cost-region comparison of the two
+LP oracle layer for verifying them, cost-region comparison of the two
 orders of play, and a repeated-routing simulator with Bayesian state learning.
 """
 

@@ -16,7 +16,7 @@ from .analysis import InternalInconsistency, compare_games, regime_sweep, write_
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
 from .model import EffortVector
 from .normalform import BoundaryParameters, build_attacker_lp, solve_ne
-from .oracle import SimplexIterationLimit, check_grid_step, simplex_solve, verify_ne, verify_spe
+from .oracle import LpSolution, SimplexIterationLimit, simplex_solve, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
 from .sequential import solve_spe
 
@@ -56,9 +56,7 @@ def _write_csv(args: argparse.Namespace, write: Callable) -> None:
         write(sys.stdout)
 
 
-def _lp_report(scenario: Scenario) -> list[str]:
-    lp = build_attacker_lp(scenario.profile, scenario.params)
-    sol = simplex_solve(lp)
+def _lp_report(sol: LpSolution) -> list[str]:
     if sol.status != "optimal":
         return [f"lp_status: {sol.status}"]
     sigmas = [
@@ -75,7 +73,8 @@ def _cmd_solve_ne(scenario: Scenario, args: argparse.Namespace) -> int:
     except BoundaryParameters:
         lines = ["regime: boundary",
                  "note: parameters on a regime boundary; reporting the attacker LP optimum"]
-        _emit(args, lines + _lp_report(scenario))
+        sol = simplex_solve(build_attacker_lp(scenario.profile, scenario.params))
+        _emit(args, lines + _lp_report(sol))
         return 2
     lines = [f"regime: {eq.regime.label}"]
     if eq.regime.index == 0:
@@ -150,7 +149,6 @@ def _cmd_regimes(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
-    check_grid_step(args.grid_step)
     profile, params = scenario.profile, scenario.params
     lp_sol = simplex_solve(build_attacker_lp(profile, params))
     try:
@@ -158,7 +156,7 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         spe = solve_spe(profile, params)
     except BoundaryParameters:
         lines = ["note: parameters on a regime boundary; closed-form checks skipped"]
-        lines += _lp_report(scenario)
+        lines += _lp_report(lp_sol)
         _emit(args, lines)
         return 2
 
@@ -194,10 +192,10 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         f" -- {'ok' if ne_res.ok else 'FAILED -- ' + ne_res.failures[0]}"
     )
 
-    spe_res = verify_spe(profile, params, spe.effort, claimed_spe_ud, grid_step=args.grid_step)
+    spe_res = verify_spe(profile, params, spe.effort, claimed_spe_ud, eps=args.eps)
     ok = ok and spe_res.ok
     lines.append(
-        f"check spe: grid step {_fmt(args.grid_step)} against the committed effort"
+        "check spe: one LP per attacker response against the committed effort"
         f" -- {'ok' if spe_res.ok else 'FAILED -- ' + spe_res.failures[0]}"
     )
 
@@ -250,9 +248,8 @@ def _build_parser() -> _Parser:
     regimes = command("regimes", _cmd_regimes, "regime sweep over a parameter grid")
     regimes.add_argument("--grid", required=True, help='grid "ca0:ca1:n,cd0:cd1:m" over (ca, cd)')
 
-    verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE grid")
+    verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE LPs")
     verify.add_argument("--eps", type=float, default=1e-9, help="equilibrium tolerance")
-    verify.add_argument("--grid-step", type=float, default=1e-3, help="SPE grid resolution")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="shift the candidate solutions to exercise the checks")
 

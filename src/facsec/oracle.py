@@ -2,13 +2,13 @@
 
 Everything here is deliberately first-principles — enumeration and a dense
 two-phase simplex — so it can serve as an oracle against the closed-form
-solvers without sharing their formulas.
+solvers without sharing their formulas. The commitment check solves one LP per
+attacker pure response on that simplex, so it is exact at any facility count.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,10 +21,6 @@ _PIVOT_TOL = 1e-9
 
 class SimplexIterationLimit(RuntimeError):
     """Pivot budget exhausted before reaching optimality."""
-
-
-class TooManyVulnerable(ValueError):
-    """Grid verification is capped at 6 vulnerable facilities."""
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,12 @@ def _run_phase(
     allowed: np.ndarray,
     budget: list[int],
 ) -> str:
-    """Bland-rule simplex iterations on a tableau whose last row is the objective."""
+    """Bland-rule simplex iterations on a tableau whose last row is the objective.
+
+    The leaving row has the strictly smallest ratio; Bland's rule breaks exact
+    ties only. Treating near-minimal ratios as ties could pivot on a row that is
+    not the minimum and leave the basis slightly infeasible.
+    """
     m = tab.shape[0] - 1
     while True:
         if budget[0] <= 0:
@@ -186,10 +187,7 @@ def _run_phase(
             a = tab[i, entering]
             if a > _PIVOT_TOL:
                 ratio = tab[i, -1] / a
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
                     best_ratio = ratio
                     leaving = i
         if leaving < 0:
@@ -361,7 +359,7 @@ def verify_ne(
 
 
 # ---------------------------------------------------------------------------
-# Grid verification of committed-defense (leader) optimality
+# Exact verification of committed-defense (leader) optimality
 
 
 def defender_utility_vs_br(
@@ -388,42 +386,26 @@ def defender_utility_vs_br(
     return -best - spend
 
 
-def check_grid_step(grid_step: float) -> None:
-    """Raise ValueError unless ``grid_step`` lies in (0, 1]."""
-    if not 0.0 < grid_step <= 1.0:
-        raise ValueError(f"grid step must be in (0, 1], got {grid_step!r}")
-
-
 def verify_spe(
     profile: FacilityProfile,
     params: CostParams,
     effort: EffortVector,
     defender_utility: float,
-    grid_step: float = 1e-3,
     eps: float = 1e-9,
 ) -> VerificationResult:
-    """Grid-check leader optimality of a claimed effort/utility pair.
+    """Check leader optimality of a claimed effort/utility pair exactly.
 
-    Scans the product grid over [0, threshold] per vulnerable facility (step
-    ``grid_step`` in (0, 1], else ValueError; thresholds included exactly;
-    non-vulnerable effort pinned at 0, which is never useful). The claimed
-    utility must (a) be attained by the claimed effort against a
-    best-responding attacker and (b) not be beaten by any grid point beyond
-    eps + defense_cost * |facilities| * grid_step.
-
-    The grid maximum is evaluated exactly without materializing the product
-    grid: the anti-utility is -max_e g_e(rho_e) - cd * sum(rho) with g_e
-    decreasing, so for each candidate bottleneck value the per-facility optima
-    are the smallest grid points below it, which reduces the search to one
-    sweep per (facility, grid value) pair.
+    The multiple-LPs method (Conitzer & Sandholm, "Computing the optimal
+    strategy to commit to", EC 2006): for each attacker pure response, one LP
+    finds the best commitment against which that response is a best one, ties
+    going to the defender. The efforts are rho_f in [0, 1] over the vulnerable
+    facilities (Ce - ca > C0); other effort is pinned at 0, because attacking
+    such a facility never beats abstaining. The claimed utility must (a) be
+    attained by the claimed effort against a best-responding attacker and
+    (b) not be beaten by the value of any feasible LP by more than eps.
     """
-    check_grid_step(grid_step)
     c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
-    vulnerable = [
-        (fac, ce) for fac, ce in profile.facilities if ce - ca > c0
-    ]
-    if len(vulnerable) > 6:
-        raise TooManyVulnerable(f"{len(vulnerable)} vulnerable facilities (max 6)")
+    vulnerable = [(fac, ce) for fac, ce in profile.facilities if ce - ca > c0]
     failures: list[str] = []
 
     attained = defender_utility_vs_br(profile, params, effort)
@@ -433,41 +415,40 @@ def verify_spe(
             f" (re-evaluates to {attained!r})"
         )
 
-    if vulnerable:
-        axes: dict[FacilityId, list[float]] = {}
-        hats: dict[FacilityId, float] = {}
-        for fac, ce in vulnerable:
-            hat = (ce - ca - c0) / (ce - c0)
-            pts = [k * grid_step for k in range(int(math.floor(hat / grid_step)) + 1)]
-            if not pts or pts[-1] < hat:
-                pts.append(hat)
-            axes[fac] = pts
-            hats[fac] = hat
-        # all-thresholds corner: the one deterring grid point
-        best = -c0 - cd * sum(hats.values())
-        tie = 1e-9 * (1.0 + abs(c0) + abs(ca))
-        for fac_m, ce_m in vulnerable:
-            for v in axes[fac_m]:
-                lam = ce_m - v * (ce_m - c0)
-                if lam - ca <= c0 + tie:
-                    continue  # not a forcing bottleneck; the corner covers it
-                total = v
-                for fac, ce in vulnerable:
-                    if fac == fac_m:
-                        continue
-                    need = max(0.0, (ce - lam) / (ce - c0))
-                    pts = axes[fac]
-                    k = bisect_left(pts, need - 1e-15)
-                    total += pts[min(k, len(pts) - 1)]
-                cand = -lam - cd * total
-                if cand > best:
-                    best = cand
-    else:
-        best = -c0
+    n = len(vulnerable)
+    gains = [ce - c0 for _, ce in vulnerable]  # effort coefficients C_f - C0
+    labels = tuple(f"rho_{fac}" for fac, _ in vulnerable)
 
-    slack = eps + cd * len(profile.facility_ids) * grid_step
-    if best > defender_utility + slack:
-        failures.append(
-            f"grid effort beats the candidate: {best!r} > {defender_utility!r} + {slack!r}"
+    def unit(k: int, coef: float) -> list[float]:
+        out = [0.0] * n
+        out[k] = coef
+        return out
+
+    # Per response: name, objective constant, objective, rows and rhs of a_ub.
+    # Abstaining is a best response iff rho_f (C_f - C0) >= C_f - C0 - ca for all f.
+    programs = [("no-attack", -c0, [-cd] * n, [unit(f, -g) for f, g in enumerate(gains)],
+                 [ca - g for g in gains])]
+    for e, (fac, ce) in enumerate(vulnerable):
+        # Attacking e is one iff it pays at least attacking any other f, and abstaining.
+        rows, rhs = [], []
+        for f, (_, cf) in enumerate(vulnerable):
+            if f != e:
+                rows.append(unit(e, gains[e]))
+                rows[-1][f] = -gains[f]
+                rhs.append(ce - cf)
+        rows.append(unit(e, gains[e]))
+        rhs.append(gains[e] - ca)
+        objective = [x - cd for x in unit(e, gains[e])]
+        programs.append((f"attack {fac}", -ce, objective, rows, rhs))
+
+    for response, constant, objective, rows, rhs in programs:
+        lp = LinearProgram(
+            tuple(objective), tuple(map(tuple, rows)), tuple(rhs), (), (), ((0.0, 1.0),) * n, labels
         )
+        sol = simplex_solve(lp)
+        if sol.status == "optimal" and constant + sol.value > defender_utility + eps:
+            failures.append(
+                f"committing to induce {response} beats the candidate:"
+                f" {constant + sol.value!r} > {defender_utility!r} + {eps!r}"
+            )
     return VerificationResult(not failures, tuple(failures))

@@ -85,7 +85,7 @@ def test_commitment_utility_survives_grid_search():
     start = time.perf_counter()
     for profile, params in instances:
         out = solve_spe(profile, params)
-        res = verify_spe(profile, params, out.effort, out.defender_utility, grid_step=1e-3, eps=1e-9)
+        res = verify_spe(profile, params, out.effort, out.defender_utility, eps=1e-9)
         assert res.ok, (profile, params, res.failures)
     assert time.perf_counter() - start < 60.0
 

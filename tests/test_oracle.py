@@ -1,12 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from facsec.model import AttackDistribution, CostParams, EffortVector, FacilityProfile
+from facsec.model import AttackDistribution, CostParams, EffortVector, FacilityProfile, partition_by_cost
 from facsec.normalform import build_attacker_lp, solve_ne
 from facsec.oracle import (
     LinearProgram,
-    TooManyVulnerable,
     attacker_best_response_enum,
     defender_utility_vs_br,
     simplex_solve,
@@ -14,6 +14,9 @@ from facsec.oracle import (
     verify_ne,
     verify_spe,
 )
+from facsec.sequential import cd_threshold_tilde, solve_spe
+
+from conftest import random_game
 
 
 def lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), bounds=None, labels=None):
@@ -184,8 +187,55 @@ def test_verify_spe_rejects_inflated_and_dominated_claims(profile3):
     assert any("beat" in f for f in dominated.failures)
 
 
-def test_verify_spe_caps_the_grid_dimension():
-    big = FacilityProfile(10.0, tuple((f"f{i}", 15.0 + i) for i in range(7)))
-    eff = EffortVector.over(big)
-    with pytest.raises(TooManyVulnerable):
-        verify_spe(big, CostParams(1.0, 1.0), eff, -15.0)
+def lp_gap(profile, params):
+    """|closed-form attacker LP value - simplex value|."""
+    eq = solve_ne(profile, params)
+    closed = eq.attacker_utility + params.defense_cost * eq.effort.total
+    sol = simplex_solve(build_attacker_lp(profile, params))
+    assert sol.status == "optimal"
+    return abs(closed - sol.value)
+
+
+def test_simplex_takes_the_true_minimum_ratio():
+    # Regime II-1: two ratios within 1e-9 of each other; pivoting on the
+    # larger one left the value 1.14e-8 off the closed form.
+    profile = FacilityProfile(43.66957495981834, (("f1", 60.512017980724906),))
+    params = CostParams(5.45326949464459, 16.84244303774901)
+    assert solve_ne(profile, params).regime.label == "II-1"
+    assert lp_gap(profile, params) <= 1e-8
+
+
+def test_oracles_agree_next_to_every_band_constant():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        profile, params = random_game(rng)
+        for band in partition_by_cost(profile).bands:
+            for side in (1.0 + 1e-9, 1.0 - 1e-9):
+                near = CostParams(params.attack_cost, band * side)
+                assert lp_gap(profile, near) <= 1e-8, (profile, near)
+                spe = solve_spe(profile, near)
+                res = verify_spe(profile, near, spe.effort, spe.defender_utility)
+                assert res.ok, (profile, near, res.failures)
+
+
+@pytest.mark.parametrize("cd", [0.4, 1.3, 3.0, 40.0])
+def test_verify_spe_accepts_the_optimum_with_ten_vulnerable_facilities(cd):
+    big = FacilityProfile(10.0, tuple((f"f{i}", 15.0 + i + 0.5 * (i % 3)) for i in range(10)))
+    params = CostParams(1.0, cd)
+    out = solve_spe(big, params)
+    assert verify_spe(big, params, out.effort, out.defender_utility).ok
+
+
+@pytest.mark.parametrize("ca", [0.2, 0.7, 1.7, 2.5])
+def test_verify_spe_is_exact_next_to_the_threshold_curve(profile3, ca):
+    for side in (1.0 + 1e-9, 1.0 - 1e-9):
+        params = CostParams(ca, cd_threshold_tilde(profile3, ca) * side)
+        out = solve_spe(profile3, params)
+        assert verify_spe(profile3, params, out.effort, out.defender_utility).ok
+
+    # Over-protecting e1 by 1e-4 costs the defender 3e-5: no slack hides it.
+    params = CostParams(0.5, 0.3)
+    over = EffortVector.over(profile3, {"e1": 5 / 6 + 1e-4, "e2": 3 / 4, "e3": 1 / 2})
+    res = verify_spe(profile3, params, over, defender_utility_vs_br(profile3, params, over))
+    assert not res.ok
+    assert any("beat" in f for f in res.failures)

@@ -196,7 +196,7 @@ def test_cli_verify_golden(capsys):
     assert out == (
         "check lp: closed-form value 17.625, simplex 17.625 -- ok\n"
         "check ne: mutual best responses within 1e-09 -- ok\n"
-        "check spe: grid step 0.001 against the committed effort -- ok\n"
+        "check spe: one LP per attacker response against the committed effort -- ok\n"
         "all checks passed\n"
     )
 
@@ -206,15 +206,18 @@ def test_cli_verify_catches_perturbations(capsys):
     assert code == 3
     assert "verification failed" in out
     assert "-- FAILED" in out
+    # --eps is the tolerance of every check, the commitment check included
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--perturb", "0.02", "--eps", "1")
+    assert code == 0, out
 
 
-def test_cli_verify_rejects_bad_grid_step(capsys, tmp_path):
-    boundary = patched(tmp_path, "edge.scn", "attack_cost 0.5", "attack_cost 3.0")
-    for scn in (THREE, boundary):
-        for step in ("0", "-0.5", "1.5"):
-            code, out = run_cli(capsys, "verify", "--scenario", str(scn), "--grid-step", step)
-            assert code == 1
-            assert out.startswith("error: grid step must be in (0, 1]")
+def test_cli_verify_checks_eight_vulnerable_facilities(capsys, tmp_path):
+    costs = "\n".join(f"f{i} {12.0 + 1.5 * i}" for i in range(8))
+    scn = tmp_path / "eight.scn"
+    scn.write_text(f"[facilities]\nbaseline_cost 10\n{costs}\n[costs]\nattack_cost 1\ndefense_cost 2.2\n")
+    code, out = run_cli(capsys, "verify", "--scenario", str(scn))
+    assert code == 0, out
+    assert "check spe: one LP per attacker response against the committed effort -- ok\n" in out
 
 
 def test_cli_regimes_csv(capsys, tmp_path):

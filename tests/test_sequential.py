@@ -204,5 +204,5 @@ def test_solve_spe_survives_the_grid_oracle(profile3):
     for _ in range(5):
         profile, params = random_game(rng, require=few)
         out = solve_spe(profile, params)
-        res = verify_spe(profile, params, out.effort, out.defender_utility, grid_step=5e-3)
+        res = verify_spe(profile, params, out.effort, out.defender_utility)
         assert res.ok, res.failures
