@@ -62,12 +62,10 @@ from .routing import (
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 from .sequential import (
     SpeOutcome,
-    attacker_br_sequential,
     cd_threshold_tilde,
     cd_tilde_inverse,
     classify_regime_spe,
     solve_spe,
-    threshold_effort,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

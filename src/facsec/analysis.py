@@ -10,12 +10,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TextIO, Union
 
 from .model import (
+    RELATION_TOL,
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
+    on_boundary,
     partition_by_cost,
     vulnerable_set,
 )
@@ -23,7 +25,6 @@ from .normalform import (
     BoundaryParameters,
     NormalFormEquilibrium,
     RegimeKind,
-    _close,
     cd_threshold_bar,
     classify_regime_ne,
     ne_utilities,
@@ -62,24 +63,22 @@ class GameComparison:
     utility_gap: float  # sequential minus simultaneous defender utility
 
 
-def classify_cost_region(
-    profile: FacilityProfile, params: CostParams, tol: float = 1e-12
-) -> CostRegion:
+def classify_cost_region(profile: FacilityProfile, params: CostParams) -> CostRegion:
     """L below the full-protection threshold, M between it and the commitment
-    curve, H above; boundary within relative tolerance ``tol``."""
+    curve, H above; boundary on either line (``on_boundary``)."""
     try:
         partition = partition_by_cost(profile)
     except EmptyVulnerableUniverse:
         return CostRegion.NO_VULNERABLE
     ca, cd = params.attack_cost, params.defense_cost
     top = partition.edges[0]
-    if _close(ca, top, tol):
+    if on_boundary(ca, top):
         return CostRegion.BOUNDARY
     if ca > top:
         return CostRegion.NO_VULNERABLE
     bar = cd_threshold_bar(profile, ca)
     tilde = cd_threshold_tilde(profile, ca)
-    if _close(cd, bar, tol) or _close(cd, tilde, tol):
+    if on_boundary(cd, bar) or on_boundary(cd, tilde):
         return CostRegion.BOUNDARY
     if cd < bar:
         return CostRegion.LOW
@@ -94,7 +93,6 @@ def _check_relations(
     region: CostRegion,
     ne: NormalFormEquilibrium,
     spe: SpeOutcome,
-    tol: float,
 ) -> None:
     def fail(relation: str) -> None:
         raise InternalInconsistency(
@@ -104,27 +102,25 @@ def _check_relations(
 
     ud, uds = ne.defender_utility, spe.defender_utility
     ua, uas = ne.attacker_utility, spe.attacker_utility
-    if uds < ud - tol:
+    if uds < ud - RELATION_TOL:
         fail("Uds >= Ud")
     if region in (CostRegion.LOW, CostRegion.HIGH, CostRegion.NO_VULNERABLE):
-        if abs(ua - uas) > tol:
+        if abs(ua - uas) > RELATION_TOL:
             fail("Ua == Uas")
         for fac in profile.facility_ids:
-            if abs(ne.effort.get(fac) - spe.effort.get(fac)) > tol:
+            if abs(ne.effort.get(fac) - spe.effort.get(fac)) > RELATION_TOL:
                 fail(f"identical effort on {fac!r}")
     if region is CostRegion.MEDIUM:
-        if ua < uas - tol:
+        if ua < uas - RELATION_TOL:
             fail("Ua > Uas")
         for fac in vulnerable_set(profile, params.attack_cost):
-            if spe.effort.get(fac) < ne.effort.get(fac) - tol:
+            if spe.effort.get(fac) < ne.effort.get(fac) - RELATION_TOL:
                 fail(f"commitment effort above simultaneous on {fac!r}")
-    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and abs(uds - ud) > tol:
+    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and abs(uds - ud) > RELATION_TOL:
         fail("Ud == Uds")
 
 
-def compare_games(
-    profile: FacilityProfile, params: CostParams, tol: float = 1e-9
-) -> GameComparison:
+def compare_games(profile: FacilityProfile, params: CostParams) -> GameComparison:
     """Solve both games at the same parameters and report who gains from order.
 
     Cross-checks the solutions against the region's predicted relations and
@@ -139,7 +135,7 @@ def compare_games(
         )
     ne = solve_ne(profile, params)
     spe = solve_spe(profile, params)
-    _check_relations(profile, params, region, ne, spe, tol)
+    _check_relations(profile, params, region, ne, spe)
     gap = spe.defender_utility - ne.defender_utility
     return GameComparison(region, ne, spe, gap > 0.0, gap)
 
@@ -218,12 +214,8 @@ def _cell_row(cell: SweepCell) -> list[str]:
     ]
 
 
-def write_sweep_csv(cells: Sequence[SweepCell], dest) -> None:
-    """Serialize sweep cells to ``dest`` (a path or a writable text file)."""
-    if hasattr(dest, "write"):
-        writer = csv.writer(dest, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(_cell_row(cell) for cell in cells)
-        return
-    with open(dest, "w", newline="") as fh:
-        write_sweep_csv(cells, fh)
+def write_sweep_csv(cells: Sequence[SweepCell], dest: TextIO) -> None:
+    """Serialize sweep cells to the writable text file ``dest``."""
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    writer.writerows(_cell_row(cell) for cell in cells)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
-from .model import EffortVector
+from .model import CHECK_EPS, LP_AGREEMENT_TOL, EffortVector
 from .normalform import BoundaryParameters, build_attacker_lp, solve_ne
 from .oracle import LpSolution, SimplexIterationLimit, simplex_solve, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
@@ -178,7 +178,7 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         ok = False
     else:
         diff = abs(closed - lp_sol.value)
-        good = diff <= 1e-8
+        good = diff <= LP_AGREEMENT_TOL
         ok = ok and good
         lines.append(
             f"check lp: closed-form value {_fmt(closed)}, simplex {_fmt(lp_sol.value)}"
@@ -249,7 +249,7 @@ def _build_parser() -> _Parser:
     regimes.add_argument("--grid", required=True, help='grid "ca0:ca1:n,cd0:cd1:m" over (ca, cd)')
 
     verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE LPs")
-    verify.add_argument("--eps", type=float, default=1e-9, help="equilibrium tolerance")
+    verify.add_argument("--eps", type=float, default=CHECK_EPS, help="equilibrium tolerance")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="shift the candidate solutions to exercise the checks")
 

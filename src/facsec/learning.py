@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
+from .model import LOAD_EPS, STATE_SUM_TOL, SUPPORT_SLACK
 from .routing import (
     AffineLatency,
     FlowAssignment,
@@ -24,9 +25,6 @@ from .routing import (
 )
 
 State = Optional[str]  # an edge id, or None for the intact network
-
-_LOAD_EPS = 1e-9  # edges loaded above this are observed
-_SUPPORT_SLACK = 1e-12
 
 
 class LearningError(ValueError):
@@ -50,7 +48,7 @@ class StateDistribution:
             if p < 0.0:
                 raise LearningError(f"negative probability {p!r} for state {state!r}")
         total = sum(p for _, p in pairs)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > STATE_SUM_TOL:
             raise LearningError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", pairs)
 
@@ -140,11 +138,11 @@ def stage_step(
     observations: dict[str, float] = {}
     for eid in network.edge_ids:
         load = flow.edge_loads[eid]
-        if load > _LOAD_EPS:
+        if load > LOAD_EPS:
             noise = float(rng.uniform(-noise_half_width, noise_half_width))
             observations[eid] = true_lat[eid](load) + noise
 
-    band = noise_half_width + _SUPPORT_SLACK
+    band = noise_half_width + SUPPORT_SLACK
     masses: list[float] = []
     eliminated = False
     for state, theta in belief.probs:
@@ -226,17 +224,13 @@ def _state_label(state: State) -> str:
     return "none" if state is None else state
 
 
-def write_trace_csv(trace: LearningTrace, dest) -> None:
-    """Serialize a trace to ``dest`` (path or writable text file).
+def write_trace_csv(trace: LearningTrace, dest: TextIO) -> None:
+    """Serialize a trace to the writable text file ``dest``.
 
     One row per stage with the post-update belief; unobserved edges leave
     their observation field empty. The seed and realized state go into a
     comment line above the header so reruns are diffable.
     """
-    if not hasattr(dest, "write"):
-        with open(dest, "w", newline="") as fh:
-            write_trace_csv(trace, fh)
-        return
     network = trace.config.network
     states = trace.config.prior.states
     dest.write(

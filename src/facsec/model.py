@@ -18,7 +18,44 @@ from typing import Mapping, Optional
 
 FacilityId = str
 
-_RANGE_SLACK = 1e-9  # forgive float dust when validating probabilities/efforts
+# Tolerances: every float tolerance of the package, named once. "abs" bounds
+# a plain difference; "rel" bounds it after scaling by max(1, |x|, |y|), as
+# ``on_boundary`` does.
+#
+# abs: float dust forgiven when an effort or probability leaves [0, 1], or an
+# attack distribution's probabilities miss a sum of 1.
+PROB_SLACK = 1e-9
+# rel: a cost this close to a regime line lies on it; the closed forms decline.
+BOUNDARY_TOL = 1e-12
+# abs: slack of compare_games' cross-checks between the two games' solutions.
+RELATION_TOL = 1e-9
+# abs: simplex reduced costs and column entries at or below this are zero.
+PIVOT_TOL = 1e-9
+# abs: a phase-1 sum of artificials above this makes the LP infeasible.
+PHASE1_TOL = 1e-7
+# rel, scaled by max(1, |best|): attacker payoffs this close to the best one
+# are best responses; the oracles decide every attacker tie with it.
+TIE_TOL = 1e-12
+# abs: default slack of verify_ne and verify_spe, and of `facsec verify --eps`.
+CHECK_EPS = 1e-9
+# abs: closed-form value vs simplex value of the attacker LP in `facsec verify`.
+LP_AGREEMENT_TOL = 1e-8
+# abs: Lemke column entries at or below this do not bound a ratio test.
+LEMKE_PIVOT_TOL = 1e-12
+# abs: a compromised edge latency may fall below the nominal one by this.
+DOMINANCE_SLACK = 1e-12
+# abs: edges loaded above this are observed by the travelers.
+LOAD_EPS = 1e-9
+# abs: widens the noise band of the belief update's support check.
+SUPPORT_SLACK = 1e-12
+# abs: a state distribution's probabilities may miss a sum of 1 by this.
+STATE_SUM_TOL = 1e-12
+# End of tolerances.
+
+
+def on_boundary(x: float, line: float) -> bool:
+    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``."""
+    return abs(x - line) <= BOUNDARY_TOL * max(1.0, abs(x), abs(line))
 
 
 class ModelError(ValueError):
@@ -27,10 +64,6 @@ class ModelError(ValueError):
 
 class EmptyVulnerableUniverse(ModelError):
     """No facility can profitably be targeted under the given costs."""
-
-
-class NotInIncreasedSet(ModelError):
-    """Operation asked about a facility whose post-attack cost is not above baseline."""
 
 
 @dataclass(frozen=True)
@@ -84,15 +117,6 @@ class CostParams:
             raise ModelError("attack cost must be positive")
         if not self.defense_cost > 0:
             raise ModelError("defense cost must be positive")
-
-
-@dataclass(frozen=True)
-class FacilityClassification:
-    """Facilities split by the sign of Ce - C0 (increased / unchanged / decreased)."""
-
-    increased: tuple[FacilityId, ...]
-    unchanged: tuple[FacilityId, ...]
-    decreased: tuple[FacilityId, ...]
 
 
 @dataclass(frozen=True)
@@ -156,19 +180,6 @@ class FacilityPartition:
         return tuple(out)
 
 
-def classify_facilities(profile: FacilityProfile) -> FacilityClassification:
-    """Split facilities by whether an attack raises, keeps, or lowers the usage cost."""
-    inc, unch, dec = [], [], []
-    for fac, cost in profile.facilities:
-        if cost > profile.baseline_cost:
-            inc.append(fac)
-        elif cost == profile.baseline_cost:
-            unch.append(fac)
-        else:
-            dec.append(fac)
-    return FacilityClassification(tuple(inc), tuple(unch), tuple(dec))
-
-
 @lru_cache(maxsize=512)
 def partition_by_cost(profile: FacilityProfile) -> FacilityPartition:
     """Group the increased-cost facilities by distinct post-attack cost, highest first.
@@ -176,12 +187,12 @@ def partition_by_cost(profile: FacilityProfile) -> FacilityPartition:
     Raises EmptyVulnerableUniverse when no facility has a post-attack cost above
     the baseline (the game is then trivial: never attack, never defend).
     """
-    increased = classify_facilities(profile).increased
-    if not increased:
-        raise EmptyVulnerableUniverse("no facility has post-attack cost above baseline")
     groups: dict[float, list[FacilityId]] = {}
-    for fac in increased:
-        groups.setdefault(profile.post_attack_cost(fac), []).append(fac)
+    for fac, cost in profile.facilities:
+        if cost > profile.baseline_cost:
+            groups.setdefault(cost, []).append(fac)
+    if not groups:
+        raise EmptyVulnerableUniverse("no facility has post-attack cost above baseline")
     levels = tuple(
         CostLevel(cost, tuple(groups[cost])) for cost in sorted(groups, reverse=True)
     )
@@ -199,7 +210,7 @@ def vulnerable_set(profile: FacilityProfile, attack_cost: float) -> tuple[Facili
 
 
 def _validated_unit(value: float, what: str) -> float:
-    if value < -_RANGE_SLACK or value > 1.0 + _RANGE_SLACK:
+    if value < -PROB_SLACK or value > 1.0 + PROB_SLACK:
         raise ModelError(f"{what} {value!r} outside [0, 1]")
     return min(1.0, max(0.0, value))
 
@@ -254,7 +265,7 @@ class AttackDistribution:
         object.__setattr__(self, "facility_probs", cleaned)
         object.__setattr__(self, "no_attack", _validated_unit(self.no_attack, "no-attack prob"))
         total = sum(p for _, p in cleaned) + self.no_attack
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > PROB_SLACK:
             raise ModelError(f"attack probabilities sum to {total!r}, expected 1")
 
     @classmethod

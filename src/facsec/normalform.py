@@ -23,6 +23,7 @@ from .model import (
     FacilityId,
     FacilityPartition,
     FacilityProfile,
+    on_boundary,
     partition_by_cost,
 )
 
@@ -73,28 +74,20 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
     return partition.bands[i - 1]
 
 
-def _close(x: float, b: float, tol: float) -> bool:
-    return abs(x - b) <= tol * max(1.0, abs(x), abs(b))
-
-
-def _concession_level(
-    partition: FacilityPartition, cd: float, n: int, tol: float
-) -> Optional[int]:
+def _concession_level(partition: FacilityPartition, cd: float, n: int) -> Optional[int]:
     """The j with bands[j-1] < cd < bands[j-2] among the first ``n`` band
-    constants (n + 1 below them all), or None within ``tol`` of one of them."""
+    constants (n + 1 below them all), or None on one of them."""
     bands = partition.bands[:n]
-    if any(_close(cd, band, tol) for band in bands):
+    if any(on_boundary(cd, band) for band in bands):
         return None
     return 1 + sum(1 for band in bands if band > cd)
 
 
-def classify_regime_ne(
-    profile: FacilityProfile, params: CostParams, tol: float = 1e-12
-) -> NeRegime:
+def classify_regime_ne(profile: FacilityProfile, params: CostParams) -> NeRegime:
     """Locate (attack_cost, defense_cost) in the regime diagram.
 
-    Points within ``tol`` (relative) of a line actually separating two regimes
-    come back as boundary; band constants that do not separate anything at the
+    Points on a line actually separating two regimes (``on_boundary``) come
+    back as boundary; band constants that do not separate anything at the
     given attack cost are ignored.
     """
     partition = partition_by_cost(profile)
@@ -102,15 +95,15 @@ def classify_regime_ne(
     bands = partition.bands
 
     for k, edge in enumerate(partition.edges, start=1):
-        if _close(ca, edge, tol):
+        if on_boundary(ca, edge):
             # the k-th vertical line only separates regimes below the (k-1)-th band
-            if k == 1 or cd < bands[k - 2] or _close(cd, bands[k - 2], tol):
+            if k == 1 or cd < bands[k - 2] or on_boundary(cd, bands[k - 2]):
                 return NeRegime(RegimeKind.BOUNDARY, None)
 
     i = partition.bracket(ca)
     if i == 0:
         return NeRegime(RegimeKind.TYPE_I, 0)
-    j = _concession_level(partition, cd, i, tol)
+    j = _concession_level(partition, cd, i)
     if j is None:
         return NeRegime(RegimeKind.BOUNDARY, None)
     if j > i:

@@ -14,9 +14,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import CostParams, EffortVector, FacilityId, FacilityProfile
+from .model import (
+    CHECK_EPS,
+    PHASE1_TOL,
+    PIVOT_TOL,
+    TIE_TOL,
+    CostParams,
+    EffortVector,
+    FacilityId,
+    FacilityProfile,
+)
 
-_PIVOT_TOL = 1e-9
+_MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -176,7 +185,7 @@ def _run_phase(
         obj = tab[m]
         entering = -1
         for j in range(tab.shape[1] - 1):
-            if allowed[j] and obj[j] < -_PIVOT_TOL:
+            if allowed[j] and obj[j] < -PIVOT_TOL:
                 entering = j
                 break
         if entering < 0:
@@ -185,7 +194,7 @@ def _run_phase(
         best_ratio = math.inf
         for i in range(m):
             a = tab[i, entering]
-            if a > _PIVOT_TOL:
+            if a > PIVOT_TOL:
                 ratio = tab[i, -1] / a
                 if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
                     best_ratio = ratio
@@ -195,7 +204,7 @@ def _run_phase(
         _pivot(tab, basis, leaving, entering)
 
 
-def simplex_solve(lp: LinearProgram, max_pivots: int = 10**6) -> LpSolution:
+def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Solve a LinearProgram with a dense two-phase simplex (Bland's rule).
 
     Returns an LpSolution whose status is "optimal", "infeasible" or
@@ -223,9 +232,9 @@ def simplex_solve(lp: LinearProgram, max_pivots: int = 10**6) -> LpSolution:
     for i in range(m):
         tab[m] -= tab[i]
     allowed = np.ones(width, dtype=bool)
-    budget = [max_pivots]
+    budget = [_MAX_PIVOTS]
     status = _run_phase(tab, basis, allowed, budget)
-    if status != "optimal" or tab[m, -1] < -1e-7:
+    if status != "optimal" or tab[m, -1] < -PHASE1_TOL:
         # phase-1 objective is -(sum of artificials); feasible iff it reaches 0
         return LpSolution("infeasible", None, None)
 
@@ -233,7 +242,7 @@ def simplex_solve(lp: LinearProgram, max_pivots: int = 10**6) -> LpSolution:
     keep = list(range(m))
     for i in range(m):
         if basis[i] >= n:
-            piv = next((j for j in range(n) if abs(tab[i, j]) > _PIVOT_TOL), None)
+            piv = next((j for j in range(n) if abs(tab[i, j]) > PIVOT_TOL), None)
             if piv is None:
                 keep.remove(i)
             else:
@@ -279,7 +288,7 @@ class BestResponseTable:
     """Pure-action attacker payoffs against a fixed effort vector.
 
     ``utilities`` covers every facility plus None for not attacking;
-    ``best_actions`` is the argmax set (ties within tie_tol).
+    ``best_actions`` is the argmax set, ties within TIE_TOL.
     """
 
     utilities: tuple[tuple[Optional[FacilityId], float], ...]
@@ -291,7 +300,6 @@ def attacker_best_response_enum(
     profile: FacilityProfile,
     params: CostParams,
     effort: EffortVector,
-    tie_tol: float = 1e-12,
 ) -> BestResponseTable:
     """Enumerate attacker payoffs against ``effort``: attack e nets the expected
     usage cost minus the attack cost; not attacking nets the baseline cost."""
@@ -303,7 +311,7 @@ def attacker_best_response_enum(
     rows.append((None, c0))
     best = max(v for _, v in rows)
     scale = max(1.0, abs(best))
-    winners = tuple(a for a, v in rows if v >= best - tie_tol * scale)
+    winners = tuple(a for a, v in rows if v >= best - TIE_TOL * scale)
     return BestResponseTable(tuple(rows), best, winners)
 
 
@@ -318,7 +326,7 @@ def verify_ne(
     params: CostParams,
     effort: EffortVector,
     attack,
-    eps: float = 1e-9,
+    eps: float = CHECK_EPS,
 ) -> VerificationResult:
     """Check mutual best responses of (effort, attack) up to eps.
 
@@ -369,21 +377,16 @@ def defender_utility_vs_br(
 ) -> float:
     """Defender utility when the attacker observes the effort and best-responds.
 
-    Attacker indifference is resolved in the defender's favor (no attack),
-    matching the equilibrium selection used by the sequential solver.
+    The payoffs and ties are those of ``attacker_best_response_enum``; when
+    abstaining is among the best responses the attacker abstains, the
+    defender-favorable selection used by the sequential solver. Otherwise
+    the defender bears the usage cost of a best attack, its payoff plus ca.
     """
-    c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
-    spend = cd * effort.total
-    eff = effort.as_dict()
-    payoffs = {
-        fac: eff.get(fac, 0.0) * c0 + (1.0 - eff.get(fac, 0.0)) * ce
-        for fac, ce in profile.facilities
-    }
-    best = max(payoffs.values()) if payoffs else c0
-    tie = 1e-9 * (1.0 + abs(c0) + abs(ca))
-    if best - ca <= c0 + tie:
-        return -c0 - spend
-    return -best - spend
+    spend = params.defense_cost * effort.total
+    table = attacker_best_response_enum(profile, params, effort)
+    if None in table.best_actions:
+        return -profile.baseline_cost - spend
+    return -(table.best_value + params.attack_cost) - spend
 
 
 def verify_spe(
@@ -391,7 +394,7 @@ def verify_spe(
     params: CostParams,
     effort: EffortVector,
     defender_utility: float,
-    eps: float = 1e-9,
+    eps: float = CHECK_EPS,
 ) -> VerificationResult:
     """Check leader optimality of a claimed effort/utility pair exactly.
 

@@ -16,7 +16,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-_PIVOT_TOL = 1e-12  # column entries at or below this do not bound a ratio test
+from .model import DOMINANCE_SLACK, LEMKE_PIVOT_TOL
+
 _PIVOT_BUDGET = 20  # pivots allowed per LCP row before giving up
 
 
@@ -81,7 +82,7 @@ class RoutedNetwork:
                 if lat.slope < 0.0 or lat.intercept < 0.0:
                     raise NetworkError(f"edge {edge.edge_id!r} has negative latency coefficients")
             for w in (0.0, self.demand):
-                if edge.compromised(w) < edge.nominal(w) - 1e-12:
+                if edge.compromised(w) < edge.nominal(w) - DOMINANCE_SLACK:
                     raise NetworkError(
                         f"edge {edge.edge_id!r}: compromised latency below nominal at load {w}"
                     )
@@ -196,7 +197,7 @@ def wardrop_equilibrium(
             break
         entering = leaving + n if leaving < n else leaving - n
         entries = tab[:, entering]
-        rows = np.flatnonzero(entries > _PIVOT_TOL)
+        rows = np.flatnonzero(entries > LEMKE_PIVOT_TOL)
         if not rows.size:
             raise NetworkError("Lemke's method ended on a ray; check the latency coefficients")
         ratios = tab[rows, -1] / entries[rows]

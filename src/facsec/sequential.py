@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from .model import (
     AttackDistribution,
@@ -21,20 +21,16 @@ from .model import (
     FacilityId,
     FacilityPartition,
     FacilityProfile,
-    NotInIncreasedSet,
+    on_boundary,
     partition_by_cost,
-    vulnerable_set,
 )
 from .normalform import (
     BoundaryParameters,
-    _close,
     _concede,
     _deter,
     _concession_level,
     _concession_utilities,
 )
-
-_EQ_TOL = 1e-12  # absolute tolerance for at-threshold comparisons
 
 
 class OutOfDomain(ValueError):
@@ -68,28 +64,6 @@ class SpeRegime:
 
 
 @dataclass(frozen=True)
-class ForcedAttack:
-    """Some vulnerable facility is under-protected: attack with probability one.
-
-    ``support`` is the set of expected-usage-cost maximizers the attacker can
-    randomize over.
-    """
-
-    support: tuple[FacilityId, ...]
-
-
-@dataclass(frozen=True)
-class DeterredMix:
-    """Every vulnerable facility is protected to (at least) indifference.
-
-    ``support`` holds the facilities at exactly the threshold effort; the
-    attacker may mix between those and not attacking at all.
-    """
-
-    support: tuple[FacilityId, ...]
-
-
-@dataclass(frozen=True)
 class OnPathAttack:
     """Attack behavior on the equilibrium path of the sequential game."""
 
@@ -105,40 +79,6 @@ class SpeOutcome:
     on_path: OnPathAttack
     defender_utility: float
     attacker_utility: float
-
-
-def threshold_effort(profile: FacilityProfile, attack_cost: float, fac: FacilityId) -> float:
-    """Effort on ``fac`` that makes attacking it exactly as good as abstaining:
-    (Ce - ca - C0)/(Ce - C0). Nonpositive values mean no effort is needed."""
-    ce = profile.post_attack_cost(fac)
-    if not ce > profile.baseline_cost:
-        raise NotInIncreasedSet(f"{fac!r} has no post-attack cost increase")
-    return (ce - attack_cost - profile.baseline_cost) / (ce - profile.baseline_cost)
-
-
-def attacker_br_sequential(
-    profile: FacilityProfile, params: CostParams, effort: EffortVector
-) -> Union[ForcedAttack, DeterredMix]:
-    """Attacker best response after observing the defender's effort.
-
-    If every vulnerable facility is protected to at least its threshold
-    effort, any mix over not attacking and the exactly-at-threshold facilities
-    is a best response; otherwise attacking an expected-cost maximizer is
-    strictly better than abstaining.
-    """
-    c0, ca = profile.baseline_cost, params.attack_cost
-    vulnerable = vulnerable_set(profile, ca)
-    if not vulnerable:
-        return DeterredMix(())
-    gaps = {fac: effort.get(fac) - threshold_effort(profile, ca, fac) for fac in vulnerable}
-    if all(g >= -_EQ_TOL for g in gaps.values()):
-        return DeterredMix(tuple(fac for fac in vulnerable if abs(gaps[fac]) <= _EQ_TOL))
-    value = {
-        fac: effort.get(fac) * c0 + (1.0 - effort.get(fac)) * profile.post_attack_cost(fac)
-        for fac in vulnerable
-    }
-    top = max(value.values())
-    return ForcedAttack(tuple(fac for fac in vulnerable if value[fac] >= top - _EQ_TOL))
 
 
 def _curve_offset(partition: FacilityPartition, i: int, j: int) -> float:
@@ -200,7 +140,7 @@ def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     partition = partition_by_cost(profile)
     base = cd_threshold_tilde(profile, 0.0)
     if defense_cost <= base:
-        if _close(defense_cost, base, 1e-12):
+        if on_boundary(defense_cost, base):
             return 0.0
         raise BelowRange(f"defense cost {defense_cost!r} below the curve minimum {base!r}")
     edges, sizes = partition.edges, partition.level_sizes
@@ -222,30 +162,28 @@ def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     return edges[0]  # beyond the last piece's float range: the curve diverges at C(1)-C0
 
 
-def classify_regime_spe(
-    profile: FacilityProfile, params: CostParams, tol: float = 1e-12
-) -> SpeRegime:
+def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegime:
     """Locate the parameters in the sequential game's regime diagram."""
     partition = partition_by_cost(profile)
     ca, cd = params.attack_cost, params.defense_cost
     edges = partition.edges
 
     for k, edge in enumerate(edges, start=1):
-        if _close(ca, edge, tol):
+        if on_boundary(ca, edge):
             if k == 1:
                 return SpeRegime(SpeRegimeKind.BOUNDARY, None)
             tilde_there = cd_threshold_tilde(profile, edge)
-            if cd < tilde_there or _close(cd, tilde_there, tol):
+            if cd < tilde_there or on_boundary(cd, tilde_there):
                 return SpeRegime(SpeRegimeKind.BOUNDARY, None)
     if ca > edges[0]:
         return SpeRegime(SpeRegimeKind.TYPE_I, 0)
 
     tilde = cd_threshold_tilde(profile, ca)
-    if _close(cd, tilde, tol):
+    if on_boundary(cd, tilde):
         return SpeRegime(SpeRegimeKind.BOUNDARY, None)
     if cd < tilde:
         return SpeRegime(SpeRegimeKind.TYPE_I, partition.bracket(ca))
-    j = _concession_level(partition, cd, partition.K, tol)
+    j = _concession_level(partition, cd, partition.K)
     if j is None or j > partition.K:  # on a band constant, or below the last one
         return SpeRegime(SpeRegimeKind.BOUNDARY, None)
     return SpeRegime(SpeRegimeKind.TYPE_II, j)

@@ -1,3 +1,6 @@
+import tokenize
+from pathlib import Path
+
 import pytest
 
 from facsec.model import (
@@ -7,7 +10,6 @@ from facsec.model import (
     EmptyVulnerableUniverse,
     FacilityProfile,
     ModelError,
-    classify_facilities,
     expected_utilities,
     partition_by_cost,
     vulnerable_set,
@@ -29,11 +31,6 @@ def test_profile_validation():
 
 def test_classification_and_partition(profile3):
     profile = FacilityProfile(10.0, (("up", 12.0), ("flat", 10.0), ("down", 8.0), ("up2", 12.0)))
-    cls = classify_facilities(profile)
-    assert cls.increased == ("up", "up2")
-    assert cls.unchanged == ("flat",)
-    assert cls.decreased == ("down",)
-
     part = partition_by_cost(profile)
     assert part.K == 1
     assert part.level_costs == (12.0,)
@@ -118,3 +115,21 @@ def test_utilities_are_bilinear_in_the_attack(profile3):
     ud_m, ua_m = expected_utilities(profile3, params, eff, mix)
     assert ud_m == pytest.approx(0.25 * ud_a + 0.75 * ud_b)
     assert ua_m == pytest.approx(0.25 * ua_a + 0.75 * ua_b)
+
+
+def test_small_float_literals_live_in_the_tolerance_table():
+    """Every float literal in (0, 1e-6] of the package sits in model.py's tolerance table."""
+    src = Path(__file__).resolve().parents[1] / "src" / "facsec"
+    model_lines = (src / "model.py").read_text().splitlines()
+    first = 1 + next(k for k, line in enumerate(model_lines) if line.startswith("# Tolerances:"))
+    last = 1 + model_lines.index("# End of tolerances.")
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        with open(path, "rb") as fh:
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type != tokenize.NUMBER or tok.string[-1] in "jJ":
+                    continue
+                in_table = path.name == "model.py" and first <= tok.start[0] <= last
+                if 0.0 < float(tok.string) <= 1e-6 and not in_table:
+                    stray.append(f"{path.name}:{tok.start[0]} {tok.string}")
+    assert not stray, stray

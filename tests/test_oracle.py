@@ -166,6 +166,18 @@ def test_defender_utility_vs_br(profile3):
     lopsided = EffortVector.over(profile3, {"e1": 5 / 6})
     assert defender_utility_vs_br(profile3, params, lopsided) == pytest.approx(-19.0 - 0.3 * 5 / 6)
 
+    # at ca = 1.5 facility e3 cannot pay off, so deterring e1 and e2 suffices;
+    # at ca = 3.5 nothing is vulnerable
+    partial = EffortVector.over(profile3, {"e1": 0.5, "e2": 0.25})
+    partial_ud = defender_utility_vs_br(profile3, CostParams(1.5, 0.3), partial)
+    assert partial_ud == pytest.approx(-17.0 - 0.3 * 0.75)
+    assert defender_utility_vs_br(profile3, CostParams(3.5, 0.3), idle) == -17.0
+
+    # 1e-10 short of the threshold on e1 is an attack, by the enumeration's tie rule
+    short = EffortVector.over(profile3, {"e1": 5 / 6 - 1e-10, "e2": 3 / 4, "e3": 1 / 2})
+    attacked = defender_utility_vs_br(profile3, params, short)
+    assert attacked == pytest.approx(-17.5 - 0.3 * short.total, abs=1e-9)
+
 
 def test_verify_spe_accepts_the_committed_optimum(profile3):
     params = CostParams(0.5, 0.3)

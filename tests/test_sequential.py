@@ -5,59 +5,20 @@ from hypothesis import strategies as st
 
 from facsec.model import CostParams, EffortVector, FacilityProfile, partition_by_cost
 from facsec.normalform import BoundaryParameters, solve_ne
-from facsec.oracle import verify_spe
+from facsec.oracle import attacker_best_response_enum, verify_spe
 from facsec.sequential import (
     BelowRange,
-    DeterredMix,
-    ForcedAttack,
     NonpositiveDenominator,
     OutOfDomain,
     SpeRegimeKind,
-    attacker_br_sequential,
     cd_ij,
     cd_threshold_tilde,
     cd_tilde_inverse,
     classify_regime_spe,
     solve_spe,
-    threshold_effort,
 )
 
 from conftest import random_game
-
-
-def test_threshold_effort(profile3):
-    assert threshold_effort(profile3, 0.5, "e1") == pytest.approx(5 / 6)
-    assert threshold_effort(profile3, 0.5, "e2") == pytest.approx(3 / 4)
-    assert threshold_effort(profile3, 0.5, "e3") == pytest.approx(1 / 2)
-
-
-def test_attacker_br_deterred_at_thresholds(profile3):
-    params = CostParams(0.5, 0.3)
-    hat = EffortVector.over(profile3, {"e1": 5 / 6, "e2": 3 / 4, "e3": 1 / 2})
-    br = attacker_br_sequential(profile3, params, hat)
-    assert isinstance(br, DeterredMix)
-    assert set(br.support) == {"e1", "e2", "e3"}
-
-
-def test_attacker_br_forced_by_underprotection(profile3):
-    params = CostParams(0.5, 0.3)
-    slack = EffortVector.over(profile3, {"e1": 0.78, "e2": 3 / 4, "e3": 1 / 2})
-    br = attacker_br_sequential(profile3, params, slack)
-    assert isinstance(br, ForcedAttack)
-    assert br.support == ("e1",)
-
-
-def test_attacker_br_ignores_invulnerable_facilities(profile3):
-    # at ca = 1.5 facility e3 cannot pay off, so deterrence needs only e1, e2
-    params = CostParams(1.5, 0.3)
-    eff = EffortVector.over(profile3, {"e1": 0.5, "e2": 0.25})
-    br = attacker_br_sequential(profile3, params, eff)
-    assert isinstance(br, DeterredMix)
-    assert set(br.support) == {"e1", "e2"}
-
-    nothing = attacker_br_sequential(profile3, CostParams(3.5, 0.3), EffortVector.over(profile3))
-    assert isinstance(nothing, DeterredMix)
-    assert nothing.support == ()
 
 
 def test_cd_ij_golden(profile3):
@@ -187,15 +148,14 @@ def test_commitment_never_hurts_on_random_instances():
         ne = solve_ne(profile, params)
         assert spe.defender_utility >= ne.defender_utility - 1e-9
         # committed effort never exceeds the deterrence threshold anywhere
+        c0, ca = profile.baseline_cost, params.attack_cost
         for fac, ce in profile.facilities:
-            if ce - params.attack_cost > profile.baseline_cost:
-                hat = threshold_effort(profile, params.attack_cost, fac)
+            if ce - ca > c0:
+                hat = (ce - ca - c0) / (ce - c0)
                 assert spe.effort.get(fac) <= hat + 1e-12
-        br = attacker_br_sequential(profile, params, spe.effort)
-        if spe.on_path.deterred:
-            assert isinstance(br, DeterredMix)
-        else:
-            assert isinstance(br, ForcedAttack)
+        # the observing attacker abstains exactly when the solver says it is deterred
+        table = attacker_best_response_enum(profile, params, spe.effort)
+        assert (None in table.best_actions) == spe.on_path.deterred
 
 
 def test_solve_spe_survives_the_grid_oracle(profile3):
