@@ -17,27 +17,28 @@ from .model import (
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
-    on_boundary,
     partition_by_cost,
     vulnerable_set,
 )
 from .normalform import (
     BoundaryParameters,
+    NeRegime,
     NormalFormEquilibrium,
     RegimeKind,
-    cd_threshold_bar,
-    classify_regime_ne,
     ne_utilities,
     solve_ne,
 )
 from .sequential import (
     SpeOutcome,
+    SpeRegime,
     SpeRegimeKind,
-    cd_threshold_tilde,
-    classify_regime_spe,
     solve_spe,
     spe_utilities,
 )
+
+# Not called here: perfbench/tracing.py rebinds these names in this module.
+from .normalform import classify_regime_ne  # noqa: F401
+from .sequential import cd_threshold_tilde, classify_regime_spe  # noqa: F401
 
 
 class InternalInconsistency(RuntimeError):
@@ -65,26 +66,12 @@ class GameComparison:
 
 def classify_cost_region(profile: FacilityProfile, params: CostParams) -> CostRegion:
     """L below the full-protection threshold, M between it and the commitment
-    curve, H above; boundary on either line (``on_boundary``)."""
+    curve, H above; boundary on either line (``FacilityPartition.locate``)."""
     try:
         partition = partition_by_cost(profile)
     except EmptyVulnerableUniverse:
         return CostRegion.NO_VULNERABLE
-    ca, cd = params.attack_cost, params.defense_cost
-    top = partition.edges[0]
-    if on_boundary(ca, top):
-        return CostRegion.BOUNDARY
-    if ca > top:
-        return CostRegion.NO_VULNERABLE
-    bar = cd_threshold_bar(profile, ca)
-    tilde = cd_threshold_tilde(profile, ca)
-    if on_boundary(cd, bar) or on_boundary(cd, tilde):
-        return CostRegion.BOUNDARY
-    if cd < bar:
-        return CostRegion.LOW
-    if cd < tilde:
-        return CostRegion.MEDIUM
-    return CostRegion.HIGH
+    return CostRegion(partition.locate(params.attack_cost, params.defense_cost).region)
 
 
 def _check_relations(
@@ -129,10 +116,7 @@ def compare_games(profile: FacilityProfile, params: CostParams) -> GameCompariso
     """
     region = classify_cost_region(profile, params)
     if region is CostRegion.BOUNDARY:
-        raise BoundaryParameters(
-            f"(attack_cost={params.attack_cost!r}, defense_cost={params.defense_cost!r})"
-            " lies on a cost-region boundary"
-        )
+        raise BoundaryParameters.at(params, "cost-region")
     ne = solve_ne(profile, params)
     spe = solve_spe(profile, params)
     _check_relations(profile, params, region, ne, spe)
@@ -156,8 +140,8 @@ class SweepCell:
 def _interior_grid(lo: float, hi: float, n: int) -> list[float]:
     if not hi > lo:
         raise ValueError(f"empty range ({lo!r}, {hi!r})")
-    if n < 2:
-        raise ValueError("need at least 2 steps per axis")
+    if n < 1:
+        raise ValueError("need at least 1 step per axis")
     h = (hi - lo) / n
     return [lo + (t + 0.5) * h for t in range(n)]
 
@@ -176,20 +160,20 @@ def regime_sweep(
     (attack cost outer, defense cost inner).
     """
     n_ca, n_cd = (steps, steps) if isinstance(steps, int) else steps
+    partition = partition_by_cost(profile)
     cells: list[SweepCell] = []
     for ca in _interior_grid(ca_range[0], ca_range[1], n_ca):
         for cd in _interior_grid(cd_range[0], cd_range[1], n_cd):
             params = CostParams(attack_cost=ca, defense_cost=cd)
-            ne = classify_regime_ne(profile, params)
-            spe = classify_regime_spe(profile, params)
-            region = classify_cost_region(profile, params)
+            loc = partition.locate(ca, cd)
+            ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
             ud = ua = uds = uas = None
             if ne.kind is not RegimeKind.BOUNDARY:
                 ud, ua = ne_utilities(profile, params, ne)
             if spe.kind is not SpeRegimeKind.BOUNDARY:
                 uds, uas = spe_utilities(profile, params, spe)
             cells.append(
-                SweepCell(ca, cd, ne.label, spe.label, region.value, ud, uds, ua, uas)
+                SweepCell(ca, cd, ne.label, spe.label, loc.region, ud, uds, ua, uas)
             )
     return cells
 

@@ -12,6 +12,7 @@ with effort vectors throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
@@ -58,12 +59,21 @@ def on_boundary(x: float, line: float) -> bool:
     return abs(x - line) <= BOUNDARY_TOL * max(1.0, abs(x), abs(line))
 
 
+def _not_above(x: float, line: float) -> bool:
+    """x below ``line`` or on it."""
+    return x < line or on_boundary(x, line)
+
+
 class ModelError(ValueError):
     """Invalid game data."""
 
 
 class EmptyVulnerableUniverse(ModelError):
     """No facility can profitably be targeted under the given costs."""
+
+
+class NonpositiveDenominator(ValueError):
+    """The requested threshold expression degenerates at these parameters."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,28 @@ class CostLevel:
 
 
 @dataclass(frozen=True)
+class CurvePiece:
+    """Piece (i, j) of the threshold curve, cd = (C(j)-C0) / (a_ij - ca*S_i) on
+    [lo, hi): ca in bracket i, concession level j. Empty when lo >= hi."""
+
+    lo: float
+    hi: float
+    a: float  # a_ij = (C(j)-C0)*S_{j-1} + E(j) + ... + E(i), with S_0 = 0
+
+
+@dataclass(frozen=True)
+class Location:
+    """Where (ca, cd) lies in the regime diagram of a partition."""
+
+    i: int  # bracket: the levels whose edge C(k)-C0 exceeds ca
+    j: int  # concession level: 1 + the band constants above cd (K + 1 below all)
+    below_curve: bool  # cd below the threshold curve, infinite from C(1)-C0 on
+    region: str  # the CostRegion value: "L", "M", "H", "boundary" or "none"
+    on_ne_line: bool  # on a line between two regimes of the simultaneous game
+    on_spe_line: bool  # on a line between two regimes of the sequential game
+
+
+@dataclass(frozen=True)
 class FacilityPartition:
     """Facilities with increased post-attack cost, grouped by distinct cost level.
 
@@ -171,6 +203,72 @@ class FacilityPartition:
     def bracket(self, attack_cost: float) -> int:
         """Number of levels whose cost increase beats the attack cost (the regime index i)."""
         return sum(1 for edge in self.edges if edge > attack_cost)
+
+    @cached_property
+    def curve_pieces(self) -> dict[tuple[int, int], CurvePiece]:
+        """The threshold curve's pieces, keyed (i, j) for 1 <= j <= i <= K, left to
+        right. Bracket i spans [C(i+1)-C0, C(i)-C0), from 0 when i = K; in it,
+        piece j ends where the sum of E(k)/S_i over k = i, ..., j passes ca."""
+        edges, sizes, ratios = self.edges, self.level_sizes, self.prefix_ratios
+        pieces: dict[tuple[int, int], CurvePiece] = {}
+        for i in range(self.K, 0, -1):
+            left, right = (edges[i] if i < self.K else 0.0), edges[i - 1]
+            start, members = 0.0, 0
+            for j in range(i, 0, -1):
+                end = start + sizes[j - 1] / ratios[i - 1] if j > 1 else math.inf
+                members += sizes[j - 1]
+                a = edges[j - 1] * (ratios[j - 2] if j > 1 else 0.0) + members
+                pieces[i, j] = CurvePiece(max(start, left), min(end, right), a)
+                start = end
+        return pieces
+
+    def cd_ij(self, ca: float, i: int, j: int) -> float:
+        """Piece (i, j) at ``ca``; raises NonpositiveDenominator where it degenerates."""
+        sizes, edges = self.level_sizes, self.edges
+        den = self.curve_pieces[i, j].a - sum(ca * sizes[k] / edges[k] for k in range(i))
+        if den <= 0.0:
+            raise NonpositiveDenominator(f"cd_{i}{j} denominator {den!r} at attack cost {ca!r}")
+        return edges[j - 1] / den
+
+    def cd_tilde(self, ca: float) -> float:
+        """The threshold curve at 0 <= ca < C(1)-C0."""
+        i = j = self.bracket(ca)
+        while ca >= self.curve_pieces[i, j].hi:
+            j -= 1
+        return self.cd_ij(ca, i, j)
+
+    def locate(self, ca: float, cd: float) -> Location:
+        """Place (ca, cd) among the level edges C(k)-C0, the band constants 1/S_k
+        and the threshold curve; the classifiers make no other ``on_boundary`` test.
+
+        Edge 1 separates everything. Across edge k >= 2 the bracket drops to
+        k-1: the NE regime changes below band k-1, the SPE regime below the
+        curve, and the region between bands k and k-1, where its L/M line
+        jumps. Band k separates NE regimes for k <= i, SPE regimes above the
+        curve, and the region for k = i."""
+        edges, bands, i = self.edges, self.bands, self.bracket(ca)
+        j = 1 + sum(1 for band in bands if band > cd)
+        if on_boundary(ca, edges[0]):
+            return Location(i, j, True, "boundary", True, True)
+        crossed = [k for k in range(2, self.K + 1) if on_boundary(ca, edges[k - 1])]
+        on_ne = any(_not_above(cd, bands[k - 2]) for k in crossed)
+        on_spe = any(_not_above(cd, self.cd_tilde(edges[k - 1])) for k in crossed)
+        on_region = any(
+            _not_above(bands[k - 1], cd) and _not_above(cd, bands[k - 2]) for k in crossed
+        )
+        below, on_curve = True, False  # the curve is infinite from C(1)-C0 on
+        if i:
+            curve = self.cd_tilde(ca)
+            below, on_curve = cd < curve, on_boundary(cd, curve)
+        band_hits = [k for k, band in enumerate(bands, start=1) if on_boundary(cd, band)]
+        on_ne = on_ne or any(k <= i for k in band_hits)
+        # above the curve yet below every band (j > K) happens only by rounding
+        on_spe = on_spe or on_curve or (not below and (bool(band_hits) or j > self.K))
+        if on_region or on_curve or i in band_hits:
+            region = "boundary"
+        else:
+            region = "none" if i == 0 else "L" if j > i else "M" if below else "H"
+        return Location(i, j, below, region, on_ne, on_spe)
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""
@@ -292,13 +390,6 @@ class AttackDistribution:
 
     def as_dict(self) -> dict[FacilityId, float]:
         return dict(self.facility_probs)
-
-    @property
-    def total_attack(self) -> float:
-        return sum(p for _, p in self.facility_probs)
-
-    def support(self) -> tuple[FacilityId, ...]:
-        return tuple(fac for fac, p in self.facility_probs if p > 0.0)
 
 
 def _aligned(profile: FacilityProfile, effort: EffortVector, attack: AttackDistribution):

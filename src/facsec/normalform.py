@@ -23,13 +23,18 @@ from .model import (
     FacilityId,
     FacilityPartition,
     FacilityProfile,
-    on_boundary,
+    Location,
     partition_by_cost,
 )
 
 
 class BoundaryParameters(ValueError):
     """Cost parameters sit on a regime boundary; closed forms decline (use the LP)."""
+
+    @classmethod
+    def at(cls, params: CostParams, line: str = "regime") -> "BoundaryParameters":
+        ca, cd = params.attack_cost, params.defense_cost
+        return cls(f"(attack_cost={ca!r}, defense_cost={cd!r}) lies on a {line} boundary")
 
 
 class RegimeKind(Enum):
@@ -48,6 +53,15 @@ class NeRegime:
         if self.kind is RegimeKind.BOUNDARY:
             return "boundary"
         return f"{self.kind.value}-{self.index}"
+
+    @classmethod
+    def at(cls, loc: Location) -> "NeRegime":
+        """I-i while band i is above cd (j > i), else II-j."""
+        if loc.on_ne_line:
+            return cls(RegimeKind.BOUNDARY, None)
+        if loc.j > loc.i:
+            return cls(RegimeKind.TYPE_I, loc.i)
+        return cls(RegimeKind.TYPE_II, loc.j)
 
 
 @dataclass(frozen=True)
@@ -74,41 +88,10 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
     return partition.bands[i - 1]
 
 
-def _concession_level(partition: FacilityPartition, cd: float, n: int) -> Optional[int]:
-    """The j with bands[j-1] < cd < bands[j-2] among the first ``n`` band
-    constants (n + 1 below them all), or None on one of them."""
-    bands = partition.bands[:n]
-    if any(on_boundary(cd, band) for band in bands):
-        return None
-    return 1 + sum(1 for band in bands if band > cd)
-
-
 def classify_regime_ne(profile: FacilityProfile, params: CostParams) -> NeRegime:
-    """Locate (attack_cost, defense_cost) in the regime diagram.
-
-    Points on a line actually separating two regimes (``on_boundary``) come
-    back as boundary; band constants that do not separate anything at the
-    given attack cost are ignored.
-    """
-    partition = partition_by_cost(profile)
-    ca, cd = params.attack_cost, params.defense_cost
-    bands = partition.bands
-
-    for k, edge in enumerate(partition.edges, start=1):
-        if on_boundary(ca, edge):
-            # the k-th vertical line only separates regimes below the (k-1)-th band
-            if k == 1 or cd < bands[k - 2] or on_boundary(cd, bands[k - 2]):
-                return NeRegime(RegimeKind.BOUNDARY, None)
-
-    i = partition.bracket(ca)
-    if i == 0:
-        return NeRegime(RegimeKind.TYPE_I, 0)
-    j = _concession_level(partition, cd, i)
-    if j is None:
-        return NeRegime(RegimeKind.BOUNDARY, None)
-    if j > i:
-        return NeRegime(RegimeKind.TYPE_I, i)
-    return NeRegime(RegimeKind.TYPE_II, j)
+    """Locate the parameters in the simultaneous game's regime diagram."""
+    loc = partition_by_cost(profile).locate(params.attack_cost, params.defense_cost)
+    return NeRegime.at(loc)
 
 
 def _deter(
@@ -184,10 +167,7 @@ def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibr
     """
     regime = classify_regime_ne(profile, params)
     if regime.kind is RegimeKind.BOUNDARY:
-        raise BoundaryParameters(
-            f"(attack_cost={params.attack_cost!r}, defense_cost={params.defense_cost!r})"
-            " lies on a regime boundary"
-        )
+        raise BoundaryParameters.at(params)
     partition = partition_by_cost(profile)
     if regime.kind is RegimeKind.TYPE_I:
         # every deterred level is attacked at its break-even probability

@@ -9,7 +9,6 @@ simultaneous-game outcome with full-probability attacks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -19,26 +18,17 @@ from .model import (
     CostParams,
     EffortVector,
     FacilityId,
-    FacilityPartition,
     FacilityProfile,
+    Location,
+    NonpositiveDenominator,
     on_boundary,
     partition_by_cost,
 )
-from .normalform import (
-    BoundaryParameters,
-    _concede,
-    _deter,
-    _concession_level,
-    _concession_utilities,
-)
+from .normalform import BoundaryParameters, _concede, _concession_utilities, _deter
 
 
 class OutOfDomain(ValueError):
     """Argument outside the function's domain (level indices or attack cost)."""
-
-
-class NonpositiveDenominator(ValueError):
-    """The requested threshold expression degenerates at these parameters."""
 
 
 class BelowRange(ValueError):
@@ -62,6 +52,15 @@ class SpeRegime:
             return "boundary"
         return f"{self.kind.value}-{self.index}"
 
+    @classmethod
+    def at(cls, loc: Location) -> "SpeRegime":
+        """I~-i below the threshold curve, else II~-j."""
+        if loc.on_spe_line:
+            return cls(SpeRegimeKind.BOUNDARY, None)
+        if loc.below_curve:
+            return cls(SpeRegimeKind.TYPE_I, loc.i)
+        return cls(SpeRegimeKind.TYPE_II, loc.j)
+
 
 @dataclass(frozen=True)
 class OnPathAttack:
@@ -81,12 +80,6 @@ class SpeOutcome:
     attacker_utility: float
 
 
-def _curve_offset(partition: FacilityPartition, i: int, j: int) -> float:
-    """a_ij in the curve's piece (i, j), cd = (C(j)-C0) / (a_ij - ca*S_i)."""
-    s_prev = partition.prefix_ratios[j - 2] if j > 1 else 0.0
-    return partition.edges[j - 1] * s_prev + sum(partition.level_sizes[j - 1 : i])
-
-
 def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float:
     """Defense cost at which deterring levels 1..i costs exactly as much as
     conceding an attack pinned down to level j.
@@ -97,12 +90,7 @@ def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float
     partition = partition_by_cost(profile)
     if not (1 <= j <= i <= partition.K):
         raise OutOfDomain(f"need 1 <= j <= i <= {partition.K}, got i={i}, j={j}")
-    sizes, edges = partition.level_sizes, partition.edges
-    attack_ratio = sum(attack_cost * sizes[k] / edges[k] for k in range(i))
-    den = _curve_offset(partition, i, j) - attack_ratio
-    if den <= 0.0:
-        raise NonpositiveDenominator(f"cd_{i}{j} denominator {den!r} at attack cost {attack_cost!r}")
-    return edges[j - 1] / den
+    return partition.cd_ij(attack_cost, i, j)
 
 
 def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
@@ -115,18 +103,7 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
     cap = partition.edges[0]
     if attack_cost < 0.0 or attack_cost >= cap:
         raise OutOfDomain(f"attack cost {attack_cost!r} outside [0, {cap!r})")
-    i = partition.bracket(attack_cost)
-    if i == 0:  # only possible at attack_cost == C(1)-C0, excluded above
-        raise OutOfDomain(f"attack cost {attack_cost!r} leaves nothing vulnerable")
-    sizes = partition.level_sizes
-    s_i = partition.prefix_ratios[i - 1]
-    # concession level j grows with the attack cost within the bracket
-    j = i
-    upper = sizes[i - 1] / s_i
-    while j > 1 and attack_cost >= upper:
-        j -= 1
-        upper += sizes[j - 1] / s_i
-    return cd_ij(profile, attack_cost, i, j)
+    return partition.cd_tilde(attack_cost)
 
 
 def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
@@ -138,55 +115,25 @@ def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     defense cost is below the curve's value at zero attack cost.
     """
     partition = partition_by_cost(profile)
-    base = cd_threshold_tilde(profile, 0.0)
+    base = partition.cd_tilde(0.0)
     if defense_cost <= base:
         if on_boundary(defense_cost, base):
             return 0.0
         raise BelowRange(f"defense cost {defense_cost!r} below the curve minimum {base!r}")
-    edges, sizes = partition.edges, partition.level_sizes
-    for i in range(partition.K, 0, -1):  # brackets, left to right
-        s_i = partition.prefix_ratios[i - 1]
-        left, right = (edges[i] if i < partition.K else 0.0), edges[i - 1]
-        start = 0.0
-        # concession levels, left to right; the piece ends accumulate exactly as
-        # the switch points in cd_threshold_tilde, so both agree on every piece
-        for j in range(i, 0, -1):
-            end = start + sizes[j - 1] / s_i if j > 1 else math.inf
-            lo, hi = max(start, left), min(end, right)
-            start = end
-            if lo >= hi:  # the piece lies outside the bracket
-                continue
-            ca = (_curve_offset(partition, i, j) - edges[j - 1] / defense_cost) / s_i
-            if ca <= hi:
-                return max(ca, lo)
+    edges, ratios = partition.edges, partition.prefix_ratios
+    for (i, j), piece in partition.curve_pieces.items():
+        if piece.lo >= piece.hi:  # the piece lies outside its bracket
+            continue
+        ca = (piece.a - edges[j - 1] / defense_cost) / ratios[i - 1]
+        if ca <= piece.hi:
+            return max(ca, piece.lo)
     return edges[0]  # beyond the last piece's float range: the curve diverges at C(1)-C0
 
 
 def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegime:
     """Locate the parameters in the sequential game's regime diagram."""
-    partition = partition_by_cost(profile)
-    ca, cd = params.attack_cost, params.defense_cost
-    edges = partition.edges
-
-    for k, edge in enumerate(edges, start=1):
-        if on_boundary(ca, edge):
-            if k == 1:
-                return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-            tilde_there = cd_threshold_tilde(profile, edge)
-            if cd < tilde_there or on_boundary(cd, tilde_there):
-                return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    if ca > edges[0]:
-        return SpeRegime(SpeRegimeKind.TYPE_I, 0)
-
-    tilde = cd_threshold_tilde(profile, ca)
-    if on_boundary(cd, tilde):
-        return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    if cd < tilde:
-        return SpeRegime(SpeRegimeKind.TYPE_I, partition.bracket(ca))
-    j = _concession_level(partition, cd, partition.K)
-    if j is None or j > partition.K:  # on a band constant, or below the last one
-        return SpeRegime(SpeRegimeKind.BOUNDARY, None)
-    return SpeRegime(SpeRegimeKind.TYPE_II, j)
+    loc = partition_by_cost(profile).locate(params.attack_cost, params.defense_cost)
+    return SpeRegime.at(loc)
 
 
 def spe_utilities(
@@ -214,10 +161,7 @@ def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:
     """
     regime = classify_regime_spe(profile, params)
     if regime.kind is SpeRegimeKind.BOUNDARY:
-        raise BoundaryParameters(
-            f"(attack_cost={params.attack_cost!r}, defense_cost={params.defense_cost!r})"
-            " lies on a regime boundary"
-        )
+        raise BoundaryParameters.at(params)
     partition = partition_by_cost(profile)
     if regime.kind is SpeRegimeKind.TYPE_I:
         eff = _deter(profile, partition, params.attack_cost, regime.index)

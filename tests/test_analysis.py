@@ -12,8 +12,9 @@ from facsec.analysis import (
     regime_sweep,
     write_sweep_csv,
 )
-from facsec.model import CostParams
-from facsec.normalform import BoundaryParameters
+from facsec.model import CostParams, partition_by_cost
+from facsec.normalform import BoundaryParameters, classify_regime_ne
+from facsec.sequential import cd_threshold_tilde, classify_regime_spe
 
 from conftest import random_game
 
@@ -38,6 +39,57 @@ def test_region_ordering_along_cd(profile3):
     assert region(profile3, 0.5, bar * 1.1) is CostRegion.MEDIUM
     assert region(profile3, 0.5, tilde * 0.99) is CostRegion.MEDIUM
     assert region(profile3, 0.5, tilde * 1.01) is CostRegion.HIGH
+
+
+def test_region_is_boundary_where_a_level_edge_moves_the_band(profile3):
+    # across ca = C(2)-C0 = 2 the full-protection band jumps from 1/S_2 = 6/5
+    # to 1/S_1 = 3: cd = 2 is M just left of the edge and L just right of it
+    assert region(profile3, 2.0 - 1e-9, 2.0) is CostRegion.MEDIUM
+    assert region(profile3, 2.0 + 1e-9, 2.0) is CostRegion.LOW
+    assert region(profile3, 2.0, 2.0) is CostRegion.BOUNDARY
+    assert region(profile3, 1.0, 1.0) is CostRegion.BOUNDARY  # edge 3, between 6/11 and 6/5
+    # below both bands, or above both, the edge separates nothing
+    assert region(profile3, 2.0, 1.0) is CostRegion.LOW
+    assert region(profile3, 2.0, 3.5) is CostRegion.MEDIUM
+    with pytest.raises(BoundaryParameters, match="cost-region boundary"):
+        compare_games(profile3, CostParams(2.0, 2.0))
+
+
+def test_region_implies_both_regimes_next_to_every_line():
+    # L: I-i and I~-i; M: II-j and I~-i; H: II-j and II~-j; none: I-0 and I~-0,
+    # with i the bracket of ca and j the concession level of cd
+    def near(x):
+        return {x * (1.0 + sign * rel) for rel in (0.0, 1e-12, 1e-9) for sign in (1.0, -1.0)}
+
+    rng = np.random.default_rng(606)
+    checked = 0
+    for _ in range(25):
+        profile, params = random_game(rng)
+        partition = partition_by_cost(profile)
+        cas = {params.attack_cost}.union(*(near(edge) for edge in partition.edges))
+        for ca in cas:
+            cds = {params.defense_cost}.union(*(near(band) for band in partition.bands))
+            if ca < partition.edges[0]:
+                cds |= near(cd_threshold_tilde(profile, ca))
+            i = partition.bracket(ca)
+            for cd in cds:
+                p = CostParams(ca, cd)
+                reg = classify_cost_region(profile, p)
+                if reg is CostRegion.BOUNDARY:
+                    continue
+                j = 1 + sum(band > cd for band in partition.bands)
+                expected = {
+                    CostRegion.LOW: (f"I-{i}", f"I~-{i}"),
+                    CostRegion.MEDIUM: (f"II-{j}", f"I~-{i}"),
+                    CostRegion.HIGH: (f"II-{j}", f"II~-{j}"),
+                    CostRegion.NO_VULNERABLE: ("I-0", "I~-0"),
+                }[reg]
+                labels = classify_regime_ne(profile, p).label, classify_regime_spe(profile, p).label
+                for label, want in zip(labels, expected):
+                    if label != "boundary":
+                        assert label == want, (ca, cd, reg, labels)
+                        checked += 1
+    assert checked > 10000
 
 
 def test_compare_games_low(profile3):

@@ -74,8 +74,8 @@ def test_effort_vector_basics(profile3):
 def test_attack_distribution_residual_and_support(profile3):
     atk = AttackDistribution.over(profile3, {"e1": 0.2, "e3": 0.3})
     assert atk.no_attack == pytest.approx(0.5)
-    assert atk.support() == ("e1", "e3")
-    assert atk.total_attack == pytest.approx(0.5)
+    assert tuple(fac for fac, p in atk.facility_probs if p > 0.0) == ("e1", "e3")
+    assert sum(atk.as_dict().values()) == pytest.approx(0.5)
     pinned = AttackDistribution.over(profile3, {"e1": 1.0}, no_attack=0.0)
     assert pinned.no_attack == 0.0
     with pytest.raises(ModelError):

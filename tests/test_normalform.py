@@ -107,7 +107,7 @@ def test_random_instances_verify(profile3):
         profile, params = random_game(rng)
         eq = solve_ne(profile, params)
         assert all(0.0 <= v <= 1.0 for v in eq.effort.as_dict().values())
-        total = eq.attack.total_attack + eq.attack.no_attack
+        total = sum(eq.attack.as_dict().values()) + eq.attack.no_attack
         assert total == pytest.approx(1.0, abs=1e-9)
         res = verify_ne(profile, params, eq.effort, eq.attack)
         assert res.ok, res.failures

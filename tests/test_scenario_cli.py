@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,19 @@ def test_cli_regimes_csv(capsys, tmp_path):
 
 def test_cli_regimes_rejects_bad_grid(capsys):
     code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "zero:four")
+    assert code == 1
+
+
+def test_cli_regimes_one_cell_axis(capsys, tmp_path):
+    # a 1-cell axis samples its midpoint: a defense-cost slice at ca = 0.5
+    out_file = tmp_path / "slice.csv"
+    code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "0:1:1,0:4:40", "--out", str(out_file))
+    assert code == 0
+    rows = list(csv.DictReader(out_file.open()))
+    assert len(rows) == 40
+    assert {row["ca"] for row in rows} == {"0.5"}
+    assert [row["cd"] for row in rows[:2]] == ["0.05", "0.15"]
+    code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "0:4:0,0:4:40")
     assert code == 1
 
 
