@@ -115,6 +115,61 @@ class StageResult:
     degenerate: bool  # every state ruled out; belief kept as-is
 
 
+@dataclass(frozen=True)
+class _StagePlan:
+    """The part of a stage that its belief fixes.
+
+    It holds the Wardrop flow on the belief-mixed latencies, the edges that
+    flow loads (the observed edges), the realized state's latency there, and
+    each belief state's predicted latency there, as a states × observed-edges
+    matrix.
+    """
+
+    belief: Belief
+    noise_half_width: float
+    flow: FlowAssignment
+    observed: tuple[str, ...]
+    truth: np.ndarray
+    predicted: np.ndarray
+
+
+def _plan_stage(
+    belief: Belief, network: RoutedNetwork, noise_half_width: float, realized_state: State
+) -> _StagePlan:
+    if noise_half_width <= 0.0:
+        raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
+    flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
+    loads = flow.edge_loads
+    observed = tuple(eid for eid in network.edge_ids if loads[eid] > LOAD_EPS)
+
+    def at_loads(state: State) -> list[float]:
+        lat = latencies_for_state(network, state)
+        return [lat[eid](loads[eid]) for eid in observed]
+
+    truth = np.array(at_loads(realized_state), dtype=float)
+    # one row per state, so the matrix stays 2-D when no edge is observed
+    predicted = np.array([at_loads(s) for s in belief.states], dtype=float)
+    return _StagePlan(belief, noise_half_width, flow, observed, truth, predicted)
+
+
+def _play_stage(plan: _StagePlan, rng: np.random.Generator) -> StageResult:
+    """Draw the noise of every observed edge at once (the same numbers, in the
+    same order, as one scalar draw per edge) and test every state's support."""
+    b = plan.noise_half_width
+    obs = plan.truth + rng.uniform(-b, b, size=len(plan.observed))
+    observations = dict(zip(plan.observed, obs.tolist()))
+    survives = (np.abs(obs - plan.predicted) <= b + SUPPORT_SLACK).all(axis=1).tolist()
+    belief = plan.belief
+    if all(ok for ok, (_, theta) in zip(survives, belief.probs) if theta > 0.0):
+        return StageResult(plan.flow, observations, belief, False)
+    masses = [theta if ok else 0.0 for ok, (_, theta) in zip(survives, belief.probs)]
+    total = sum(masses)
+    if total <= 0.0:
+        return StageResult(plan.flow, observations, belief, True)
+    posterior = Belief(tuple((s, m / total) for (s, _), m in zip(belief.probs, masses)))
+    return StageResult(plan.flow, observations, posterior, False)
+
+
 def stage_step(
     belief: Belief,
     network: RoutedNetwork,
@@ -125,42 +180,13 @@ def stage_step(
     """One stage: route on the belief, observe used edges, update by Bayes.
 
     Observed costs are true-state latency at the realized load plus uniform
-    noise on [-b, b], drawn independently per observed edge. States whose
-    prediction misses an observation by more than b are eliminated; if no
-    state survives, the belief is kept and the stage flagged degenerate. When
-    nothing is eliminated the belief object is returned unchanged (the
-    all-ones likelihood cancels in the normalization).
+    noise on [-b, b], drawn independently per observed edge, in edge order.
+    States whose prediction misses an observation by more than b are
+    eliminated; if no state survives, the belief is kept and the stage flagged
+    degenerate. When nothing is eliminated the belief object is returned
+    unchanged (the all-ones likelihood cancels in the normalization).
     """
-    if noise_half_width <= 0.0:
-        raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
-    flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
-    true_lat = latencies_for_state(network, realized_state)
-    observations: dict[str, float] = {}
-    for eid in network.edge_ids:
-        load = flow.edge_loads[eid]
-        if load > LOAD_EPS:
-            noise = float(rng.uniform(-noise_half_width, noise_half_width))
-            observations[eid] = true_lat[eid](load) + noise
-
-    band = noise_half_width + SUPPORT_SLACK
-    masses: list[float] = []
-    eliminated = False
-    for state, theta in belief.probs:
-        lat = latencies_for_state(network, state)
-        survives = all(
-            abs(obs - lat[eid](flow.edge_loads[eid])) <= band
-            for eid, obs in observations.items()
-        )
-        masses.append(theta if survives else 0.0)
-        if not survives and theta > 0.0:
-            eliminated = True
-    if not eliminated:
-        return StageResult(flow, observations, belief, False)
-    total = sum(masses)
-    if total <= 0.0:
-        return StageResult(flow, observations, belief, True)
-    posterior = Belief(tuple((s, m / total) for (s, _), m in zip(belief.probs, masses)))
-    return StageResult(flow, observations, posterior, False)
+    return _play_stage(_plan_stage(belief, network, noise_half_width, realized_state), rng)
 
 
 @dataclass(frozen=True)
@@ -195,7 +221,14 @@ def run_simulation(config: SimulationConfig) -> LearningTrace:
 
     Every state the prior names or the distribution can realize must be None
     or an edge of the network, and the prior must not rule out any state the
-    distribution can realize. Deterministic for a fixed config and seed.
+    distribution can realize. Deterministic for a fixed config and seed, and
+    stage for stage the same as calling ``stage_step`` on the same generator.
+
+    The routing and the predictions depend on the belief alone, so the stage
+    plan (one Wardrop solve) is kept while the belief object is unchanged:
+    one solve per distinct belief. A changed belief has lost a state from its
+    support, and support never grows back, so a belief once left never
+    returns; keeping only the last plan therefore misses no reuse.
     """
     if config.horizon < 1:
         raise LearningError(f"horizon must be at least 1, got {config.horizon!r}")
@@ -210,9 +243,12 @@ def run_simulation(config: SimulationConfig) -> LearningTrace:
     rng = np.random.default_rng(config.seed)
     realized = config.state_dist.sample(rng)
     belief = config.prior
+    plan: Optional[_StagePlan] = None
     records: list[StageRecord] = []
     for t in range(1, config.horizon + 1):
-        step = stage_step(belief, config.network, config.noise_half_width, realized, rng)
+        if plan is None or plan.belief is not belief:
+            plan = _plan_stage(belief, config.network, config.noise_half_width, realized)
+        step = _play_stage(plan, rng)
         records.append(
             StageRecord(t, belief, step.flow, step.observations, step.posterior, step.degenerate)
         )
@@ -249,13 +285,15 @@ def write_trace_csv(trace: LearningTrace, dest: TextIO) -> None:
     def num(x: float) -> str:
         return format(x, ".9g")
 
+    edge_ids, route_ids = network.edge_ids, network.route_ids
+    belief = flow = None  # theta and q_ fields are formatted once per belief and flow
     for rec in trace.records:
-        row = [str(rec.stage)]
-        row += [num(rec.belief_after.prob(s)) for s in states]
-        row += [num(rec.flow.route_flows[rid]) for rid in network.route_ids]
-        row += [
-            num(rec.observations[eid]) if eid in rec.observations else ""
-            for eid in network.edge_ids
-        ]
+        if rec.belief_after is not belief or rec.flow is not flow:
+            belief, flow = rec.belief_after, rec.flow
+            routed = [num(belief.prob(s)) for s in states]
+            routed += [num(flow.route_flows[rid]) for rid in route_ids]
+        obs = rec.observations
+        row = [str(rec.stage), *routed]
+        row += [num(obs[eid]) if eid in obs else "" for eid in edge_ids]
         row.append("1" if rec.degenerate else "0")
         writer.writerow(row)

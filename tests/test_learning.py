@@ -1,8 +1,12 @@
+import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_network
+from facsec import learning
 from facsec.learning import (
     Belief,
     LearningError,
@@ -14,10 +18,20 @@ from facsec.learning import (
     state_distribution,
     write_trace_csv,
 )
-from facsec.model import CostParams
+from facsec.model import LOAD_EPS, SUPPORT_SLACK, CostParams
 from facsec.normalform import solve_ne
-from facsec.routing import AffineLatency, Edge, Route, RoutedNetwork
+from facsec.routing import (
+    AffineLatency,
+    Edge,
+    Route,
+    RoutedNetwork,
+    latencies_for_state,
+    wardrop_equilibrium,
+)
+from facsec.scenario import load_scenario
 from facsec.sequential import solve_spe
+
+LOCKIN = Path(__file__).resolve().parent.parent / "scenarios" / "lockin.scn"
 
 
 def single_edge_net(demand=1.0, jump=20.0):
@@ -176,3 +190,132 @@ def test_write_trace_csv_layout():
     assert first[2] == "1"
     assert first[3] == "2"
     assert first[5] == "0"
+
+
+def lockin_config(horizon, seed):
+    scn = load_scenario(str(LOCKIN))
+    settings = scn.learning
+    dist = StateDistribution.point(None)
+    return SimulationConfig(scn.network, settings.prior, dist, settings.noise_half_width, horizon, seed)
+
+
+def test_lockin_trace_golden():
+    # pinned from the stage loop that solved Wardrop on every stage
+    buf = io.StringIO()
+    write_trace_csv(run_simulation(lockin_config(5000, 7)), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "b06876d90808fd1b4139ef39d86f27917d2390816afe377e10a5dd7e24ce6bdd"
+
+
+def test_batched_uniform_draw_equals_scalar_draws():
+    # a stage draws the noise of all its observed edges at once; the trace
+    # stays byte-identical only while that equals one scalar draw per edge
+    for seed in range(20):
+        half_width = 0.1 + seed / 3.0
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (0, 1, 2, 3, 7, 16):
+            draws = batched.uniform(-half_width, half_width, size=k).tolist()
+            assert draws == [float(scalar.uniform(-half_width, half_width)) for _ in range(k)]
+        assert batched.random() == scalar.random()
+
+
+def scalar_stage_step(belief, network, noise_half_width, realized_state, rng):
+    """The stage update written as one scalar draw and one scalar support check
+    per observed edge and state: the reference for the vectorized update."""
+    flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
+    true_lat = latencies_for_state(network, realized_state)
+    observations = {}
+    for eid in network.edge_ids:
+        load = flow.edge_loads[eid]
+        if load > LOAD_EPS:
+            noise = float(rng.uniform(-noise_half_width, noise_half_width))
+            observations[eid] = true_lat[eid](load) + noise
+    band = noise_half_width + SUPPORT_SLACK
+    masses, eliminated = [], False
+    for state, theta in belief.probs:
+        lat = latencies_for_state(network, state)
+        survives = all(
+            abs(obs - lat[eid](flow.edge_loads[eid])) <= band for eid, obs in observations.items()
+        )
+        masses.append(theta if survives else 0.0)
+        eliminated |= not survives and theta > 0.0
+    if not eliminated:
+        return flow, observations, belief, False
+    total = sum(masses)
+    if total <= 0.0:
+        return flow, observations, belief, True
+    posterior = Belief(tuple((s, m / total) for (s, _), m in zip(belief.probs, masses)))
+    return flow, observations, posterior, False
+
+
+def random_learning_configs(count, seed=2024):
+    """Random networks (a few with zero demand) with random priors (some with
+    a zero-mass state), true states drawn from the prior or fixed, and noise
+    wide or narrow enough to eliminate states at different stages."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_network(rng)
+        if rng.random() < 0.05:  # nothing is routed, so nothing is observed
+            net = RoutedNetwork(net.edges, net.routes, 0.0)
+        edges = list(net.edge_ids)
+        k = int(rng.integers(1, len(edges) + 1))
+        states = [edges[int(i)] for i in sorted(rng.choice(len(edges), size=k, replace=False))]
+        states.append(None)
+        weights = rng.dirichlet(np.ones(len(states)))
+        if len(states) > 2 and rng.random() < 0.3:
+            weights[int(rng.integers(len(states)))] = 0.0
+            weights /= weights.sum()
+        prior = Belief(tuple(zip(states, weights.tolist())))
+        if rng.random() < 0.5:
+            dist = prior
+        else:
+            possible = [s for s, p in prior.probs if p > 0.0]
+            dist = StateDistribution.point(possible[int(rng.integers(len(possible)))])
+        yield SimulationConfig(
+            net,
+            prior,
+            dist,
+            float(rng.uniform(0.05, 5.0)),
+            int(rng.integers(1, 30)),
+            int(rng.integers(2**31)),
+        )
+
+
+def test_run_simulation_matches_a_stage_by_stage_reference():
+    changes = 0
+    for config in random_learning_configs(200):
+        trace = run_simulation(config)
+        rng, scalar_rng = np.random.default_rng(config.seed), np.random.default_rng(config.seed)
+        realized = config.state_dist.sample(rng)
+        assert config.state_dist.sample(scalar_rng) == realized == trace.realized_state
+        belief = config.prior
+        for rec in trace.records:
+            step = stage_step(belief, config.network, config.noise_half_width, realized, rng)
+            flow, observations, posterior, degenerate = scalar_stage_step(
+                belief, config.network, config.noise_half_width, realized, scalar_rng
+            )
+            assert rec.belief_before is belief
+            assert rec.flow.route_flows == step.flow.route_flows == flow.route_flows
+            assert rec.observations == step.observations == observations
+            assert rec.belief_after.probs == step.posterior.probs == posterior.probs
+            assert rec.degenerate == step.degenerate == degenerate
+            changes += rec.belief_after is not belief
+            belief = rec.belief_after
+    assert changes > 50  # the draws exercise elimination, not only lock-in
+
+
+def test_one_wardrop_solve_per_distinct_belief(monkeypatch):
+    calls = []
+
+    def counting(network, latencies):
+        calls.append(1)
+        return wardrop_equilibrium(network, latencies)
+
+    monkeypatch.setattr(learning, "wardrop_equilibrium", counting)
+    trace = run_simulation(lockin_config(5000, 7))
+    assert len(trace.records) == 5000
+    assert len(calls) == 1
+    for config in random_learning_configs(200):
+        calls.clear()
+        trace = run_simulation(config)
+        assert len(calls) == len({rec.belief_before for rec in trace.records})

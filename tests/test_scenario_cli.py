@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,25 @@ def test_cli_simulate_deterministic(capsys, tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == "# seed=13 true_state=none"
     assert len(lines) == 2 + 50
+
+
+SIMULATE_GOLDEN = {
+    (LOCKIN, 7): "55ff9094740d4a9d79121e389ba6df5162b8609af2f60d10a9df9aed2d03dddd",
+    (LOCKIN, 13): "c7e270a0fb2ccc6c97d2aae0aadd2466695747fca0c5c4acd7cc2fe1d45992ac",
+    (LOCKIN, 21): "02dd4ffbdc66c6d888611feef1d6f09105f9839783b0e3dcdb1ade61d7958266",
+    (THREE, 7): "f27aeb5918c81ed83982c3385fad9665e307ef07c4f23610c65116fe6c6dfbcc",
+    (THREE, 13): "b6348dfb244b35c3fa281c143f9a0fc41a29f8616d0e34058abf86e51be5dd75",
+    (THREE, 21): "40e93a0109c6f78ac9b0e21c3f5ca1231a68261777b6cce71edc578843ebaa51",
+}
+
+
+@pytest.mark.parametrize("path, seed", list(SIMULATE_GOLDEN), ids=lambda v: getattr(v, "stem", v))
+def test_cli_simulate_golden(capsys, path, seed):
+    # pinned from the stage loop that solved Wardrop on every stage
+    code = main(["simulate", "--scenario", str(path), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SIMULATE_GOLDEN[path, seed]
 
 
 def test_cli_simulate_requires_learning(capsys, tmp_path):
