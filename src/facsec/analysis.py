@@ -7,10 +7,13 @@ measure the value of commitment, and rasterizes regime diagrams to CSV.
 
 from __future__ import annotations
 
-import csv
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, TextIO, Union
+
+import numpy as np
 
 from .model import (
     RELATION_TOL,
@@ -25,20 +28,20 @@ from .normalform import (
     NeRegime,
     NormalFormEquilibrium,
     RegimeKind,
-    ne_utilities,
+    _ne_utilities,
     solve_ne,
 )
 from .sequential import (
     SpeOutcome,
     SpeRegime,
     SpeRegimeKind,
+    _spe_utilities,
     solve_spe,
-    spe_utilities,
 )
 
 # Not called here: perfbench/tracing.py rebinds these names in this module.
-from .normalform import classify_regime_ne  # noqa: F401
-from .sequential import cd_threshold_tilde, classify_regime_spe  # noqa: F401
+from .normalform import classify_regime_ne, ne_utilities  # noqa: F401
+from .sequential import cd_threshold_tilde, classify_regime_spe, spe_utilities  # noqa: F401
 
 
 class InternalInconsistency(RuntimeError):
@@ -137,13 +140,63 @@ class SweepCell:
     uas: Optional[float]
 
 
-def _interior_grid(lo: float, hi: float, n: int) -> list[float]:
+@dataclass(frozen=True, eq=False)
+class SweepGrid(Sequence):
+    """A regime sweep held as columns. It reads as the sequence of its
+    ``SweepCell``s in grid order: attack cost outer, defense cost inner."""
+
+    ca: np.ndarray  # the attack-cost axis: one grid row per value
+    cd: np.ndarray  # the defense-cost axis: one grid column per value
+    ne_regime: np.ndarray  # labels and utilities per cell, rows by columns
+    spe_regime: np.ndarray
+    region: np.ndarray
+    ud: np.ndarray  # NaN where ne_regime is boundary
+    uds: np.ndarray  # NaN where spe_regime is boundary
+    ua: np.ndarray
+    uas: np.ndarray
+
+    def __len__(self) -> int:
+        return self.region.size
+
+    def __getitem__(self, t: int) -> SweepCell:
+        r, c = divmod(range(len(self))[t], len(self.cd))
+        ne, spe = self.ne_regime[r, c], self.spe_regime[r, c]
+
+        def utility(values: np.ndarray, label: str) -> Optional[float]:
+            return None if label == "boundary" else float(values[r, c])
+
+        return SweepCell(
+            float(self.ca[r]), float(self.cd[c]), ne, spe, self.region[r, c],
+            utility(self.ud, ne), utility(self.uds, spe), utility(self.ua, ne), utility(self.uas, spe),
+        )
+
+
+def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"range ({lo!r}, {hi!r}) must be finite")
     if not hi > lo:
         raise ValueError(f"empty range ({lo!r}, {hi!r})")
     if n < 1:
         raise ValueError("need at least 1 step per axis")
     h = (hi - lo) / n
-    return [lo + (t + 0.5) * h for t in range(n)]
+    return lo + (np.arange(n) + 0.5) * h
+
+
+def _regime_columns(regime, kinds, utilities, partition, codes, ca, cd):
+    """Labels and (defender, attacker) utilities per cell from regime codes:
+    i for Type I-i, K + j for Type II-j and 2K + 1 for boundary. The utilities
+    run once per regime present, on the arrays of its cells' ``ca`` and ``cd``."""
+    K = partition.K
+    table = (
+        [regime(kinds.TYPE_I, i) for i in range(K + 1)]
+        + [regime(kinds.TYPE_II, j) for j in range(1, K + 1)]
+        + [regime(kinds.BOUNDARY, None)]
+    )
+    ud, ua = np.full(codes.shape, np.nan), np.full(codes.shape, np.nan)
+    for code in np.flatnonzero(np.bincount(codes.ravel())[: 2 * K + 1]).tolist():
+        at = codes == code
+        ud[at], ua[at] = utilities(partition, ca[at], cd[at], table[code])
+    return np.array([r.label for r in table], dtype=object)[codes], ud, ua
 
 
 def regime_sweep(
@@ -151,55 +204,64 @@ def regime_sweep(
     ca_range: tuple[float, float],
     cd_range: tuple[float, float],
     steps: Union[int, tuple[int, int]],
-) -> list[SweepCell]:
+) -> SweepGrid:
     """Classify both games and the cost region on a rectangular grid.
 
     Samples cell midpoints of the open ranges, so the range endpoints are
-    never evaluated. Boundary cells keep their labels but leave the
-    corresponding utility fields unset. Rows are ordered by grid index
-    (attack cost outer, defense cost inner).
+    never evaluated; the ranges must be finite and every midpoint positive.
+    ``FacilityPartition.locate_grid`` places the whole grid at once, and each
+    game's utilities run once per regime on the arrays of its cells, with the
+    same floating-point operations as at a single point. Boundary cells keep
+    their labels but leave the corresponding utility fields unset.
     """
     n_ca, n_cd = (steps, steps) if isinstance(steps, int) else steps
     partition = partition_by_cost(profile)
-    cells: list[SweepCell] = []
-    for ca in _interior_grid(ca_range[0], ca_range[1], n_ca):
-        for cd in _interior_grid(cd_range[0], cd_range[1], n_cd):
-            params = CostParams(attack_cost=ca, defense_cost=cd)
-            loc = partition.locate(ca, cd)
-            ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
-            ud = ua = uds = uas = None
-            if ne.kind is not RegimeKind.BOUNDARY:
-                ud, ua = ne_utilities(profile, params, ne)
-            if spe.kind is not SpeRegimeKind.BOUNDARY:
-                uds, uas = spe_utilities(profile, params, spe)
-            cells.append(
-                SweepCell(ca, cd, ne.label, spe.label, loc.region, ud, uds, ua, uas)
-            )
-    return cells
+    ca = _interior_grid(ca_range[0], ca_range[1], n_ca)
+    cd = _interior_grid(cd_range[0], cd_range[1], n_cd)
+    CostParams(float(ca[0]), float(cd[0]))  # the smallest midpoints: rejects any nonpositive one
+    loc = partition.locate_grid(ca, cd)
+    K, i, j = partition.K, loc.i[:, None], loc.j
+    # NeRegime.at and SpeRegime.at, cell by cell, as regime codes
+    ne = np.where(loc.on_ne_line, 2 * K + 1, np.where(j > i, i, K + j))
+    spe = np.where(loc.on_spe_line, 2 * K + 1, np.where(loc.below_curve, i, K + j))
+    cells = np.broadcast_arrays(ca[:, None], cd)
+    ne_labels, ud, ua = _regime_columns(NeRegime, RegimeKind, _ne_utilities, partition, ne, *cells)
+    spe_labels, uds, uas = _regime_columns(SpeRegime, SpeRegimeKind, _spe_utilities, partition, spe, *cells)
+    return SweepGrid(ca, cd, ne_labels, spe_labels, loc.region, ud, uds, ua, uas)
 
 
 SWEEP_COLUMNS = ("ca", "cd", "ne_regime", "spe_regime", "region", "ud", "uds", "ua", "uas")
 
 
-def _cell_row(cell: SweepCell) -> list[str]:
-    def num(x: Optional[float]) -> str:
-        return "" if x is None else format(x, ".9g")
-
-    return [
-        num(cell.ca),
-        num(cell.cd),
-        cell.ne_regime,
-        cell.spe_regime,
-        cell.region,
-        num(cell.ud),
-        num(cell.uds),
-        num(cell.ua),
-        num(cell.uas),
-    ]
+def _formatted(values: np.ndarray, unset: np.ndarray) -> list[str]:
+    """``values`` as ``%.9g`` text, flattened, and "" where ``unset``. Each
+    distinct value, told apart by its bits, is formatted once."""
+    out = np.full(values.size, "", dtype=object)
+    kept = ~unset.ravel()
+    bits, inverse = np.unique(values.ravel()[kept].view(np.uint64), return_inverse=True)
+    text = [format(x, ".9g") for x in bits.view(np.float64).tolist()]
+    out[kept] = np.array(text, dtype=object)[inverse]
+    return out.tolist()
 
 
-def write_sweep_csv(cells: Sequence[SweepCell], dest: TextIO) -> None:
-    """Serialize sweep cells to the writable text file ``dest``."""
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    writer.writerows(_cell_row(cell) for cell in cells)
+def write_sweep_csv(grid: SweepGrid, dest: TextIO) -> None:
+    """Serialize a sweep to the writable text file ``dest``: one row per cell,
+    numbers as ``%.9g``, and a utility left empty where its label is boundary.
+    No field holds a comma, quote or line break, so none is quoted."""
+    n_ca, n_cd = grid.region.shape
+    ca = [format(x, ".9g") for x in grid.ca.tolist()]
+    cd = [format(x, ".9g") for x in grid.cd.tolist()]
+    ne_unset, spe_unset = grid.ne_regime == "boundary", grid.spe_regime == "boundary"
+    columns = (
+        [x for x in ca for _ in range(n_cd)],
+        cd * n_ca,
+        grid.ne_regime.ravel().tolist(),
+        grid.spe_regime.ravel().tolist(),
+        grid.region.ravel().tolist(),
+        _formatted(grid.ud, ne_unset),
+        _formatted(grid.uds, spe_unset),
+        _formatted(grid.ua, ne_unset),
+        _formatted(grid.uas, spe_unset),
+    )
+    dest.write(",".join(SWEEP_COLUMNS) + "\n")
+    dest.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -39,7 +39,7 @@ class StateDistribution:
     probs: tuple[tuple[State, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple(self.probs)
+        pairs = tuple((state, p + 0.0) for state, p in self.probs)  # + 0.0 turns -0.0 into 0.0
         seen = set()
         for state, p in pairs:
             if state in seen:

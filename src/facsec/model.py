@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Optional
 
+import numpy as np
+
 FacilityId = str
 
 # Tolerances: every float tolerance of the package, named once. "abs" bounds
@@ -62,6 +64,16 @@ def on_boundary(x: float, line: float) -> bool:
 def _not_above(x: float, line: float) -> bool:
     """x below ``line`` or on it."""
     return x < line or on_boundary(x, line)
+
+
+def _on_boundary_array(x: np.ndarray, line) -> np.ndarray:
+    """``on_boundary`` elementwise: the same IEEE operations, so the same answers."""
+    return np.abs(x - line) <= BOUNDARY_TOL * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(line))
+
+
+def _not_above_array(x, line) -> np.ndarray:
+    """``_not_above`` elementwise."""
+    return (x < line) | _on_boundary_array(x, line)
 
 
 class ModelError(ValueError):
@@ -155,6 +167,18 @@ class Location:
     region: str  # the CostRegion value: "L", "M", "H", "boundary" or "none"
     on_ne_line: bool  # on a line between two regimes of the simultaneous game
     on_spe_line: bool  # on a line between two regimes of the sequential game
+
+
+@dataclass(frozen=True, eq=False)
+class LocationGrid:
+    """``Location`` for every (ca, cd) of a grid: rows follow ca, columns cd."""
+
+    i: np.ndarray  # per row
+    j: np.ndarray  # per column
+    below_curve: np.ndarray  # per cell, as are the rest
+    region: np.ndarray
+    on_ne_line: np.ndarray
+    on_spe_line: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -269,6 +293,45 @@ class FacilityPartition:
         else:
             region = "none" if i == 0 else "L" if j > i else "M" if below else "H"
         return Location(i, j, below, region, on_ne, on_spe)
+
+    def locate_grid(self, ca: np.ndarray, cd: np.ndarray) -> LocationGrid:
+        """``locate`` at every (ca, cd) of the axes ``ca`` and ``cd``, rule for
+        rule: what depends on ca alone is found once per row, what depends on
+        cd alone once per column, and the rest by broadcasting one against the
+        other with ``on_boundary``'s expression applied elementwise."""
+        K, edges, bands = self.K, np.array(self.edges), np.array(self.bands)
+        # edges and bands are non-increasing: count those above ca and cd
+        i = K - np.searchsorted(edges[::-1], ca, side="right")
+        j = 1 + K - np.searchsorted(bands[::-1], cd, side="right")
+        edge_hits = _on_boundary_array(ca[:, None], edges)
+        edge1 = edge_hits[:, 0]
+        crossed = edge_hits[:, 1:] & ~edge1[:, None]  # column k-2 for edge k
+        shape = (len(ca), len(cd))
+        on_ne, on_spe, on_region = np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape, bool)
+        for k in np.flatnonzero(crossed.any(axis=0)) + 2:
+            rows = crossed[:, k - 2, None]
+            on_ne |= rows & _not_above_array(cd, bands[k - 2])
+            on_spe |= rows & _not_above_array(cd, self.cd_tilde(self.edges[k - 1]))
+            on_region |= rows & _not_above_array(bands[k - 1], cd) & _not_above_array(cd, bands[k - 2])
+        # the curve is infinite from C(1)-C0 on; on edge 1 it is not needed
+        has_curve = (i > 0) & ~edge1
+        curve = np.array([
+            self.cd_tilde(x) if inside else math.inf
+            for x, inside in zip(ca.tolist(), has_curve.tolist())
+        ])
+        below = cd < curve[:, None]
+        on_curve = has_curve[:, None] & _on_boundary_array(cd, curve[:, None])
+        band_hits = _on_boundary_array(cd, bands[:, None])  # row k-1 for band k
+        any_hit = band_hits.any(axis=0)
+        first_hit = np.where(any_hit, band_hits.argmax(axis=0) + 1, K + 1)
+        on_ne |= edge1[:, None] | (first_hit <= i[:, None])
+        # above the curve yet below every band (j > K) happens only by rounding
+        on_spe |= edge1[:, None] | on_curve | (~below & (any_hit | (j > K)))
+        hit_i = np.vstack([np.zeros_like(any_hit), band_hits])[i]  # i in band_hits
+        boundary = edge1[:, None] | on_region | on_curve | hit_i
+        code = np.select([boundary, i[:, None] == 0, j > i[:, None], below], [0, 1, 2, 3], 4)
+        region = np.array(["boundary", "none", "L", "M", "H"], dtype=object)[code]
+        return LocationGrid(i, j, below, region, on_ne, on_spe)
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""

@@ -135,15 +135,27 @@ def _concede(
     )
 
 
-def _concession_utilities(
-    partition: FacilityPartition, params: CostParams, j: int
-) -> tuple[float, float]:
-    """(defender, attacker) utilities of the outcome of ``_concede``."""
+def _concession_utilities(partition: FacilityPartition, ca, cd, j: int):
+    """(defender, attacker) utilities of the outcome of ``_concede``; ``ca``
+    and ``cd`` are floats or arrays, as in ``_ne_utilities``."""
     costs, sizes, edges = partition.level_costs, partition.level_sizes, partition.edges
-    cd = params.defense_cost
     cj = costs[j - 1]
     ud = -cj - sum((costs[k] - cj) * cd * sizes[k] / edges[k] for k in range(j - 1))
-    return ud, cj - params.attack_cost
+    return ud, cj - ca
+
+
+def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
+    """(defender, attacker) utilities of a non-boundary regime at (ca, cd).
+
+    ``ca`` and ``cd`` are floats or arrays of equal shape. Every operation is
+    elementwise, so each element of an array result has the float result's bits.
+    """
+    if regime.kind is RegimeKind.TYPE_I:
+        c0 = partition.baseline_cost
+        return -c0 - cd * sum(partition.level_sizes[: regime.index or 0]), c0
+    if regime.kind is RegimeKind.TYPE_II:
+        return _concession_utilities(partition, ca, cd, regime.index)
+    raise BoundaryParameters("no closed-form utilities on a regime boundary")
 
 
 def ne_utilities(
@@ -151,12 +163,7 @@ def ne_utilities(
 ) -> tuple[float, float]:
     """Equilibrium (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    if regime.kind is RegimeKind.TYPE_I:
-        c0 = partition.baseline_cost
-        return -c0 - params.defense_cost * sum(partition.level_sizes[: regime.index or 0]), c0
-    if regime.kind is RegimeKind.TYPE_II:
-        return _concession_utilities(partition, params, regime.index)
-    raise BoundaryParameters("no closed-form utilities on a regime boundary")
+    return _ne_utilities(partition, params.attack_cost, params.defense_cost, regime)
 
 
 def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibrium:

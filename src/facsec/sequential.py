@@ -18,6 +18,7 @@ from .model import (
     CostParams,
     EffortVector,
     FacilityId,
+    FacilityPartition,
     FacilityProfile,
     Location,
     NonpositiveDenominator,
@@ -136,19 +137,25 @@ def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegi
     return SpeRegime.at(loc)
 
 
+def _spe_utilities(partition: FacilityPartition, ca, cd, regime: SpeRegime):
+    """Equilibrium-path (defender, attacker) utilities of a non-boundary regime
+    at (ca, cd), on floats or arrays as in ``normalform._ne_utilities``."""
+    if regime.kind is SpeRegimeKind.TYPE_I:
+        c0, costs = partition.baseline_cost, partition.level_costs
+        sizes, edges = partition.level_sizes, partition.edges
+        spend = sum((costs[k] - ca - c0) / edges[k] * sizes[k] for k in range(regime.index or 0))
+        return -c0 - cd * spend, c0
+    if regime.kind is SpeRegimeKind.TYPE_II:
+        return _concession_utilities(partition, ca, cd, regime.index)
+    raise BoundaryParameters("no closed-form utilities on a regime boundary")
+
+
 def spe_utilities(
     profile: FacilityProfile, params: CostParams, regime: SpeRegime
 ) -> tuple[float, float]:
     """Equilibrium-path (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    if regime.kind is SpeRegimeKind.TYPE_I:
-        c0, ca = partition.baseline_cost, params.attack_cost
-        costs, sizes, edges = partition.level_costs, partition.level_sizes, partition.edges
-        spend = sum((costs[k] - ca - c0) / edges[k] * sizes[k] for k in range(regime.index or 0))
-        return -c0 - params.defense_cost * spend, c0
-    if regime.kind is SpeRegimeKind.TYPE_II:
-        return _concession_utilities(partition, params, regime.index)
-    raise BoundaryParameters("no closed-form utilities on a regime boundary")
+    return _spe_utilities(partition, params.attack_cost, params.defense_cost, regime)
 
 
 def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:

@@ -1,5 +1,8 @@
 import csv
+import hashlib
 import io
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,10 @@ from facsec.analysis import (
     regime_sweep,
     write_sweep_csv,
 )
-from facsec.model import CostParams, partition_by_cost
-from facsec.normalform import BoundaryParameters, classify_regime_ne
-from facsec.sequential import cd_threshold_tilde, classify_regime_spe
+from facsec.cli import main
+from facsec.model import CostParams, FacilityProfile, partition_by_cost
+from facsec.normalform import BoundaryParameters, NeRegime, classify_regime_ne, ne_utilities
+from facsec.sequential import SpeRegime, cd_threshold_tilde, classify_regime_spe, spe_utilities
 
 from conftest import random_game
 
@@ -202,3 +206,119 @@ def test_relations_hold_on_random_instances():
         if cmp.region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE):
             assert abs(cmp.utility_gap) <= 1e-9
     assert len(seen) >= 2  # the generator reaches several regions
+
+
+def test_sweep_grid_reads_as_a_sequence_of_cells(profile3):
+    cells = regime_sweep(profile3, (0.0, 4.0), (0.0, 4.0), (3, 4))
+    listed = list(cells)
+    assert len(cells) == len(listed) == 12
+    assert [cells[t] for t in range(12)] == listed
+    assert cells[-1] == listed[11] and cells[-12] == listed[0]
+    assert (listed[5].ca, listed[5].cd) == (2.0, 1.5)  # row 1, column 1
+    with pytest.raises(IndexError):
+        cells[12]
+
+
+THREE = Path(__file__).resolve().parent.parent / "scenarios" / "three_facility.scn"
+
+# sha256 of `facsec regimes` output, taken from the per-cell loop that placed
+# one cell at a time. ca = 1 and 3 of 0:6:3 lie exactly on level edges.
+REGIMES_GOLDEN = {
+    "0:4:400,0:4:400": "44a0e20fdfa92d788f3b30be12b4f2085e064596fa50ac73b2ad0bad08f89d83",
+    "0:1:1,0:4:400": "8c92a10be6b19a06e1fb72e12b8682461af4c1c7f55108926519cb453e331df2",
+    "0:6:3,0:4:400": "b21a7decc25fb9a999e9da8b069c85508ff42d0e689ff518d97a12a6ab252af6",
+}
+
+
+@pytest.mark.parametrize("grid", list(REGIMES_GOLDEN))
+def test_cli_regimes_golden(capsys, grid):
+    code = main(["regimes", "--scenario", str(THREE), "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == REGIMES_GOLDEN[grid]
+
+
+def levelled_profile(seed, n: int, n_levels: int) -> FacilityProfile:
+    """n facilities spread over n_levels distinct post-attack costs."""
+    rng = random.Random(seed)
+    c0 = rng.uniform(5.0, 30.0)
+    levels = [c0 + rng.uniform(0.5, 15.0) for _ in range(n_levels)]
+    costs = levels + [rng.choice(levels) for _ in range(n - n_levels)]
+    rng.shuffle(costs)
+    return FacilityProfile(c0, tuple((f"f{t + 1}", c) for t, c in enumerate(costs)))
+
+
+def test_regime_sweep_golden_on_twenty_levels():
+    profile = levelled_profile(2018, 50, 20)
+    assert partition_by_cost(profile).K == 20
+    top = max(cost for _, cost in profile.facilities) - profile.baseline_cost
+    buf = io.StringIO()
+    write_sweep_csv(regime_sweep(profile, (0.0, 1.05 * top), (0.0, 1.05 * top), 60), buf)
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == "605dab61fe3693f0c771de4575bd06e73176846e4593af6fcd7acf0074744fcd"
+
+
+def random_levelled_profile(rng: np.random.Generator) -> FacilityProfile:
+    """Up to 20 cost levels, some with several members, some facilities at or
+    below the baseline, and now and then two levels whose edges lie within
+    BOUNDARY_TOL of each other, so that one attack cost is on both."""
+    c0 = float(rng.uniform(1.0, 30.0))
+    levels = list(c0 + rng.uniform(0.05, 20.0, size=int(rng.integers(1, 21))))
+    if len(levels) > 1 and rng.random() < 0.3:
+        levels[1] = c0 + (levels[0] - c0) * (1.0 + 1e-13)
+    costs = levels + [float(rng.choice(levels)) for _ in range(int(rng.integers(0, 10)))]
+    costs += list(c0 * rng.uniform(0.5, 1.0, size=int(rng.integers(0, 3))))
+    rng.shuffle(costs)
+    return FacilityProfile(c0, tuple((f"f{t + 1}", float(c)) for t, c in enumerate(costs)))
+
+
+def near(values, rel=1e-12):
+    return [x * f for x in values for f in (1.0 - rel, 1.0, 1.0 + rel)]
+
+
+def test_locate_grid_matches_locate_cell_by_cell():
+    rng = np.random.default_rng(808)
+    fields = ("below_curve", "region", "on_ne_line", "on_spe_line")
+    for _ in range(20):
+        partition = partition_by_cost(random_levelled_profile(rng))
+        edges, bands, top = partition.edges, partition.bands, partition.edges[0]
+        ca = near(edges) + list(rng.uniform(0.0, 1.2 * top, size=10))
+        curve = [partition.cd_tilde(x) for x in ca if 0.0 <= x < top]
+        cd = near(bands) + near(rng.choice(curve, size=min(4, len(curve)))) + list(
+            rng.uniform(0.0, 1.5 * bands[0], size=10)
+        )
+        grid = partition.locate_grid(np.array(ca), np.array(cd))
+        for r, x in enumerate(ca):
+            for c, y in enumerate(cd):
+                want = partition.locate(x, y)
+                assert (grid.i[r], grid.j[c]) == (want.i, want.j), (x, y)
+                assert tuple(grid.__dict__[f][r, c] for f in fields) == tuple(
+                    getattr(want, f) for f in fields
+                ), (x, y)
+
+
+def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
+    # ranges (0, 2 n v) with n a power of two put the first midpoint exactly on v
+    rng = np.random.default_rng(909)
+    hits = 0
+    for _ in range(30):
+        profile = random_levelled_profile(rng)
+        partition = partition_by_cost(profile)
+        edge = float(rng.choice(partition.edges))
+        band = float(rng.choice(partition.bands))
+        n_ca, n_cd = 8, 16
+        cells = regime_sweep(profile, (0.0, 2 * n_ca * edge), (0.0, 2 * n_cd * band), (n_ca, n_cd))
+        assert (cells[0].ca, cells[0].cd) == (edge, band)
+        for cell in cells:
+            loc = partition.locate(cell.ca, cell.cd)
+            ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
+            assert (cell.ne_regime, cell.spe_regime, cell.region) == (ne.label, spe.label, loc.region)
+            params = CostParams(cell.ca, cell.cd)
+            ud = ua = uds = uas = None
+            if ne.label != "boundary":
+                ud, ua = ne_utilities(profile, params, ne)
+            if spe.label != "boundary":
+                uds, uas = spe_utilities(profile, params, spe)
+            assert (cell.ud, cell.ua, cell.uds, cell.uas) == (ud, ua, uds, uas), cell
+            hits += "boundary" in (cell.ne_regime, cell.spe_regime, cell.region)
+    assert hits >= 30

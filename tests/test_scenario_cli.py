@@ -235,6 +235,13 @@ def test_cli_regimes_csv(capsys, tmp_path):
 def test_cli_regimes_rejects_bad_grid(capsys):
     code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "zero:four")
     assert code == 1
+    code, out = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "0:inf:3,0:4:3")
+    assert code == 1 and "must be finite" in out and "boundary" not in out
+    # the first midpoint, -1/6, is the smallest one
+    code, out = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid=-1:4:3,0:4:3")
+    assert code == 1 and "attack cost must be positive" in out
+    code, out = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid=0:4:3,-1:0.2:3")
+    assert code == 1 and "defense cost must be positive" in out
 
 
 def test_cli_regimes_one_cell_axis(capsys, tmp_path):
@@ -279,6 +286,19 @@ def test_cli_simulate_golden(capsys, path, seed):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SIMULATE_GOLDEN[path, seed]
+
+
+def test_cli_simulate_prints_a_negative_zero_prior_as_0(capsys, tmp_path):
+    text = LOCKIN.read_text()
+    text = text.replace("prior e1 0.0833333333333333", "prior e1 -0")
+    text = text.replace("prior e3 0.0833333333333333", "prior e3 0.1666666666666666")
+    path = tmp_path / "negzero.scn"
+    path.write_text(text)
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--seed", "7", "--horizon", "5")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert len(rows) == 5
+    assert {row["theta_e1"] for row in rows} == {"0"}
 
 
 def test_cli_simulate_requires_learning(capsys, tmp_path):
