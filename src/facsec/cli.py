@@ -3,12 +3,15 @@
 Subcommands: solve-ne, solve-spe, compare, regimes, verify, simulate. All read
 a scenario file; numeric output uses 9 significant digits so repeated runs are
 byte-identical. Exit codes: 0 success, 1 input error, 2 boundary parameters
-handled by a fallback, 3 verification failure or internal inconsistency.
+handled by a fallback, 3 verification failure or internal inconsistency. A
+reader that closes stdout early (``facsec regimes ... | head``) ends the
+output, with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -268,7 +271,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         scenario = load_scenario(args.scenario)
-        return args.handler(scenario, args)
+        code = args.handler(scenario, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, which ends the output. Point stdout at
+        # devnull so that the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,8 +1,8 @@
 """Independent checking machinery: a small LP solver and equilibrium verifiers.
 
-Everything here is deliberately first-principles — enumeration and a dense
-two-phase simplex — so it can serve as an oracle against the closed-form
-solvers without sharing their formulas. The commitment check solves one LP per
+Everything here is deliberately first-principles — enumeration and a
+two-phase bounded-variable simplex — so it can serve as an oracle against the
+closed-form solvers without sharing their formulas. The commitment check solves one LP per
 attacker pure response on that simplex, so it is exact at any facility count.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .model import (
     FacilityProfile,
 )
 
-_MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases
+_MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases; a flip counts as one
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -64,211 +64,223 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Equality-form rewrite of a LinearProgram with all variables >= 0.
+    """Equality-form rewrite of a LinearProgram over bounded columns.
 
-    ``c`` is the minimization objective over standardized columns. Original
-    variable j is recovered as offset_j + sum(coef * x[col]) over recover[j];
-    this mapping is exact, so a rational re-solve of a basis reproduces the
-    solver's answer bit-for-bit up to the final float rounding.
+    The problem is min c.x s.t. rows x = rhs, 0 <= x <= upper (``math.inf``
+    for no upper bound). Columns are the shifted, reflected or split original
+    variables followed by one slack per inequality row. Original variable j is
+    recovered as offset_j + sum(coef * x[col]) over recover[j]; this mapping
+    is exact. A solution's ``basis`` and ``at_upper`` fix its point: holding
+    the ``at_upper`` columns at their upper bounds and the other nonbasic
+    columns at 0, a rational re-solve of the basis columns reproduces the
+    solver's answer up to the final float rounding.
     """
 
-    c: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    c: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
+    upper: np.ndarray
     recover: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``basis`` lists the basic standardized column of each row; an entry
+    len(StandardForm.c) + i is row i's artificial, which a feasible answer
+    holds at 0. ``at_upper`` lists the nonbasic columns at their upper bound."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[float]
     assignment: Optional[dict[str, float]]
     basis: tuple[int, ...] = ()
+    at_upper: tuple[int, ...] = ()
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
-    """Rewrite as min c.x, A x = b, x >= 0 (free vars split, bounds shifted, slacks added)."""
-    ncols = 0
-    recover: list[tuple[float, tuple[tuple[int, float], ...]]] = []
-    extra_ub: list[tuple[int, float]] = []  # (original var, upper) rows to add after shifting
+    """Rewrite as min c.x, A x = b, 0 <= x <= upper (lower bounds shifted,
+    an upper-only variable reflected, free variables split, slacks added)."""
+    source: list[int] = []  # original variable of each column
+    sign: list[float] = []
+    upper: list[float] = []
+    offsets: list[float] = []
+    recover = []
     for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is None:
-            # free: x = x+ - x-
-            recover.append((0.0, ((ncols, 1.0), (ncols + 1, -1.0))))
-            ncols += 2
-            if hi is not None:
-                extra_ub.append((j, hi))
-        else:
-            recover.append((lo, ((ncols, 1.0),)))
-            ncols += 1
-            if hi is not None:
-                extra_ub.append((j, hi))
+        col = len(source)
+        if lo is not None:  # x = lo + x', x' <= hi - lo
+            source.append(j)
+            sign.append(1.0)
+            upper.append(math.inf if hi is None else hi - lo)
+            offsets.append(lo)
+            recover.append((lo, ((col, 1.0),)))
+        elif hi is not None:  # x = hi - x'
+            source.append(j)
+            sign.append(-1.0)
+            upper.append(math.inf)
+            offsets.append(hi)
+            recover.append((hi, ((col, -1.0),)))
+        else:  # free: x = x+ - x-
+            source += [j, j]
+            sign += [1.0, -1.0]
+            upper += [math.inf, math.inf]
+            offsets.append(0.0)
+            recover.append((0.0, ((col, 1.0), (col + 1, -1.0))))
 
-    def expand(row: Sequence[float]) -> tuple[list[float], float]:
-        """Rewrite an original-variable row over standardized columns; returns (row, rhs shift)."""
-        out = [0.0] * ncols
-        shift = 0.0
-        for j, coef in enumerate(row):
-            if coef == 0.0:
-                continue
-            offset, terms = recover[j]
-            shift += coef * offset
-            for col, sign in terms:
-                out[col] += coef * sign
-        return out, shift
-
-    rows: list[list[float]] = []
-    rhs: list[float] = []
-    kinds: list[str] = []
-    for row, b in zip(lp.a_ub, lp.b_ub):
-        r, shift = expand(row)
-        rows.append(r)
-        rhs.append(b - shift)
-        kinds.append("ub")
-    for j, hi in extra_ub:
-        unit = [0.0] * len(lp.objective)
-        unit[j] = 1.0
-        r, shift = expand(unit)
-        rows.append(r)
-        rhs.append(hi - shift)
-        kinds.append("ub")
-    for row, b in zip(lp.a_eq, lp.b_eq):
-        r, shift = expand(row)
-        rows.append(r)
-        rhs.append(b - shift)
-        kinds.append("eq")
-
-    nslack = sum(1 for k in kinds if k == "ub")
-    width = ncols + nslack
-    slack_at = ncols
-    full_rows: list[tuple[float, ...]] = []
-    for r, kind in zip(rows, kinds):
-        padded = r + [0.0] * nslack
-        if kind == "ub":
-            padded[slack_at] = 1.0
-            slack_at += 1
-        full_rows.append(tuple(padded))
-
-    c_min = [0.0] * width
-    for j, coef in enumerate(lp.objective):
-        _, terms = recover[j]
-        for col, sign in terms:
-            c_min[col] += -coef * sign  # minimize the negated objective
-    return StandardForm(tuple(c_min), tuple(full_rows), tuple(rhs), tuple(recover))
+    n, ncols = len(lp.objective), len(source)
+    m_ub, m = len(lp.a_ub), len(lp.a_ub) + len(lp.a_eq)
+    width = ncols + m_ub
+    a = np.array((*lp.a_ub, *lp.a_eq), dtype=float).reshape(m, n)
+    b = np.array((*lp.b_ub, *lp.b_eq), dtype=float)
+    objective = np.array(lp.objective, dtype=float)
+    if any(offsets):
+        b -= a @ np.array(offsets)
+    if ncols > n or -1.0 in sign:
+        a = a[:, source] * sign
+        objective = objective[source] * sign
+    rows = np.zeros((m, width))
+    rows[:, :ncols] = a
+    rows.ravel()[ncols : m_ub * (width + 1) : width + 1] = 1.0  # slack i at (i, ncols + i)
+    c = np.zeros(width)
+    c[:ncols] = -objective  # minimize the negated objective
+    upper += [math.inf] * m_ub
+    return StandardForm(c, rows, b, np.array(upper), tuple(recover))
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
-    basis[row] = col
+class _Tableau:
+    """A bounded-variable simplex tableau (Dantzig 1955; Chvatal, *Linear
+    Programming*, 1983, ch. 8).
 
-
-def _run_phase(
-    tab: np.ndarray,
-    basis: list[int],
-    allowed: np.ndarray,
-    budget: list[int],
-) -> str:
-    """Bland-rule simplex iterations on a tableau whose last row is the objective.
-
-    The leaving row has the strictly smallest ratio; Bland's rule breaks exact
-    ties only. Treating near-minimal ratios as ties could pivot on a row that is
-    not the minimum and leave the basis slightly infeasible.
+    ``tab`` holds the m rows, then the reduced costs of the objective and,
+    while phase 1 runs, of the sum of the artificials; its last column holds
+    the basic values and minus each objective value. Nonbasic columns sit at
+    0. A ``flipped`` column j stands for upper_j - x_j: flipping negates the
+    column and moves upper_j times it into the right-hand side. Artificials
+    have no column: row i's is basis entry width + i, and once it leaves the
+    basis it never re-enters.
     """
-    m = tab.shape[0] - 1
-    while True:
-        if budget[0] <= 0:
-            raise SimplexIterationLimit("pivot budget exhausted")
-        budget[0] -= 1
-        obj = tab[m]
-        entering = -1
-        for j in range(tab.shape[1] - 1):
-            if allowed[j] and obj[j] < -PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        leaving = -1
-        best_ratio = math.inf
-        for i in range(m):
-            a = tab[i, entering]
-            if a > PIVOT_TOL:
-                ratio = tab[i, -1] / a
-                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leaving]):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            return "unbounded"
-        _pivot(tab, basis, leaving, entering)
+
+    def __init__(self, tab: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> None:
+        self.tab = tab
+        self.basis = basis
+        self.upper = upper
+        self.basic_upper = np.full(len(basis), math.inf)  # of the starting slacks and artificials
+        self.flipped = np.zeros(len(upper), dtype=bool)
+        self.steps_left = _MAX_PIVOTS
+
+    def flip(self, col: int) -> None:
+        column = self.tab[:, col]
+        self.tab[:, -1] -= self.upper[col] * column
+        column *= -1.0
+        self.flipped[col] = not self.flipped[col]
+
+    def pivot(self, row: int, col: int) -> None:
+        """Rank-1 update of the rows with a nonzero entry in ``col``."""
+        tab = self.tab
+        prow = tab[row] / tab[row, col]
+        column = tab[:, col]
+        hit = column.nonzero()[0]
+        tab[hit] -= np.multiply.outer(column[hit], prow)
+        tab[row] = prow
+        self.basis[row] = col
+        self.basic_upper[row] = self.upper[col]
+
+    def run(self, objective: int) -> str:
+        """Bland-rule iterations on row ``objective`` until optimal or unbounded.
+
+        The entering column is the lowest-index one with a negative reduced
+        cost. Its step is the exact minimum of three limits: a basic value
+        reaching 0, a basic value reaching its upper bound, and the entering
+        column reaching its own, which flips it without a pivot. Bland's rule
+        (smallest column index) breaks exact ties only. Treating near-minimal
+        ratios as ties could pivot on a row that is not the minimum and leave
+        the basis slightly infeasible.
+        """
+        tab, basis, basic_upper = self.tab, self.basis, self.basic_upper
+        m, width = len(basis), len(self.upper)
+        cost, rhs = tab[objective, :width], tab[:m, -1]
+        ratio = np.empty(m + 1)  # ratio[m] stays inf: the step of an LP without rows
+        while True:
+            if self.steps_left <= 0:
+                raise SimplexIterationLimit("pivot budget exhausted")
+            self.steps_left -= 1
+            improving = (cost < -PIVOT_TOL).nonzero()[0]
+            if not len(improving):
+                return "optimal"
+            entering = improving[0]
+            a = tab[:m, entering]
+            ratio.fill(math.inf)
+            np.divide(rhs, a, out=ratio[:m], where=a > PIVOT_TOL)
+            np.divide(rhs - basic_upper, a, out=ratio[:m], where=a < -PIVOT_TOL)
+            leaving = ratio.argmin()
+            step, own = ratio[leaving], self.upper[entering]
+            if own < step:
+                self.flip(entering)
+                continue
+            if step == math.inf:
+                return "unbounded"
+            ties = (ratio == step).nonzero()[0]
+            if len(ties) > 1:
+                leaving = ties[basis[ties].argmin()]
+            if own == step and entering < basis[leaving]:
+                self.flip(entering)
+                continue
+            if a[leaving] < 0.0:
+                # It leaves at its upper bound: flip it while basic, when its
+                # column is the unit vector of its row.
+                out = basis[leaving]
+                rhs[leaving] -= basic_upper[leaving]
+                if out < width:
+                    tab[leaving, out] = -1.0
+                    self.flipped[out] = not self.flipped[out]
+            self.pivot(leaving, entering)
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram with a dense two-phase simplex (Bland's rule).
+    """Solve a LinearProgram with a two-phase bounded-variable simplex.
 
-    Returns an LpSolution whose status is "optimal", "infeasible" or
-    "unbounded"; raises SimplexIterationLimit if the pivot budget runs out.
-    The basis of the final tableau (standardized column indices) is reported
-    for independent re-solving.
+    Bounds stay bounds. A ``<=`` row with a nonnegative right-hand side starts
+    with its slack basic and every other row with an artificial, so phase 1
+    runs only if some row needs one. Returns an LpSolution whose status is
+    "optimal", "infeasible" or "unbounded"; raises SimplexIterationLimit if
+    the pivot budget runs out. The final basis and the nonbasic columns at
+    their upper bound are reported for independent re-solving.
     """
     sf = standard_form(lp)
-    m = len(sf.rows)
-    n = len(sf.c)
-    A = np.array(sf.rows, dtype=float).reshape(m, n)
-    b = np.array(sf.rhs, dtype=float)
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Phase 1: artificial variable per row, minimize their sum.
-    width = n + m
-    tab = np.zeros((m + 1, width + 1))
-    tab[:m, :n] = A
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    basis = list(range(n, n + m))
-    tab[m, n : n + m] = 1.0
-    for i in range(m):
-        tab[m] -= tab[i]
-    allowed = np.ones(width, dtype=bool)
-    budget = [_MAX_PIVOTS]
-    status = _run_phase(tab, basis, allowed, budget)
-    if status != "optimal" or tab[m, -1] < -PHASE1_TOL:
-        # phase-1 objective is -(sum of artificials); feasible iff it reaches 0
+    upper = sf.upper
+    if np.count_nonzero(upper < 0.0):  # an upper bound below its lower bound
         return LpSolution("infeasible", None, None)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = list(range(m))
-    for i in range(m):
-        if basis[i] >= n:
-            piv = next((j for j in range(n) if abs(tab[i, j]) > PIVOT_TOL), None)
-            if piv is None:
-                keep.remove(i)
-            else:
-                _pivot(tab, basis, i, piv)
-    if len(keep) < m:
-        rows = keep + [m]
-        tab = tab[rows]
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-
-    # Phase 2 on the original (minimization) objective; artificials barred.
-    allowed[n:] = False
-    tab[m, :] = 0.0
-    tab[m, :n] = sf.c
-    for i in range(m):
-        cb = tab[m, basis[i]]
-        if cb != 0.0:
-            tab[m] -= cb * tab[i]
-    status = _run_phase(tab, basis, allowed, budget)
-    if status == "unbounded":
+    m, width = sf.rows.shape
+    m_ub = len(lp.a_ub)
+    tab = np.zeros((m + 2, width + 1))
+    tab[:m, :width] = sf.rows
+    tab[:m, -1] = sf.rhs
+    tab[m, :width] = sf.c  # the slacks are basic at cost 0, so these are reduced costs
+    artificial = sf.rhs < 0.0
+    tab[artificial.nonzero()[0]] *= -1.0
+    artificial[m_ub:] = True
+    basis = np.arange(width - m_ub, width - m_ub + m) + m_ub * artificial
+    t = _Tableau(tab, basis, upper)
+    if np.count_nonzero(artificial):
+        # Phase 1 minimizes the sum of the artificials.
+        tab[m + 1] = -tab[artificial.nonzero()[0]].sum(axis=0)
+        t.run(m + 1)
+        if tab[m + 1, -1] < -PHASE1_TOL:
+            return LpSolution("infeasible", None, None)
+        t.basic_upper[basis >= width] = 0.0  # an artificial left in the basis stays at 0
+    t.tab = tab[: m + 1]  # phase 2 drops the phase-1 row
+    if t.run(m) == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    x_std = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x_std[basis[i]] = tab[i, -1]
+    x_std = np.zeros(width + m)  # the columns, then a slot per row for its artificial
+    x_std[basis] = tab[:m, -1]
+    x_std = x_std[:width]
+    flipped = t.flipped
+    at_upper = ()
+    if np.count_nonzero(flipped):
+        x_std[flipped] = upper[flipped] - x_std[flipped]
+        nonbasic = flipped.copy()
+        nonbasic[basis[basis < width]] = False
+        at_upper = tuple(nonbasic.nonzero()[0].tolist())
+    x_std = x_std.tolist()
     assignment = {}
     value = 0.0
     for j, label in enumerate(lp.labels):
@@ -276,7 +288,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         xj = offset + sum(coef * x_std[col] for col, coef in terms)
         assignment[label] = xj
         value += lp.objective[j] * xj
-    return LpSolution("optimal", value, assignment, tuple(basis))
+    return LpSolution("optimal", value, assignment, tuple(basis.tolist()), at_upper)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from facsec import oracle
 from facsec.model import AttackDistribution, CostParams, EffortVector, FacilityProfile, partition_by_cost
 from facsec.normalform import build_attacker_lp, solve_ne
 from facsec.oracle import (
@@ -106,25 +109,160 @@ def _exact_gauss(a, b):
     return [m[r][n] for r in range(n)]
 
 
-def test_final_basis_resolves_exactly(profile3):
+def _exact_point(lp, sol):
+    """Rational re-solve of a reported basis: the ``at_upper`` columns sit at
+    their upper bounds, the other nonbasic columns at 0, and an artificial
+    (basis entry width + i) is the unit column of row i."""
+    sf = standard_form(lp)
+    nrows, width = sf.rows.shape
+    x = {col: Fraction(sf.upper[col]) for col in sol.at_upper}
+    a = [[Fraction(sf.rows[r][c]) if c < width else Fraction(c - width == r) for c in sol.basis]
+         for r in range(nrows)]
+    b = [Fraction(sf.rhs[r]) - sum(Fraction(sf.rows[r][c]) * u for c, u in x.items()) for r in range(nrows)]
+    x.update(zip(sol.basis, _exact_gauss(a, b)))
+    point = {
+        label: Fraction(offset) + sum(Fraction(coef) * x.get(col, Fraction(0)) for col, coef in combo)
+        for label, (offset, combo) in zip(lp.labels, sf.recover)
+    }
+    return sum(Fraction(c) * point[label] for c, label in zip(lp.objective, lp.labels)), point
+
+
+def _commitment_lps(monkeypatch, profile, params):
+    """The LPs verify_spe solves for the closed-form commitment."""
+    captured = []
+    solve = oracle.simplex_solve
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "simplex_solve", lambda lp: captured.append(lp) or solve(lp))
+        spe = solve_spe(profile, params)
+        verify_spe(profile, params, spe.effort, spe.defender_utility)
+    return captured
+
+
+def test_final_basis_resolves_exactly(profile3, monkeypatch):
     """Rational re-solve of the reported basis reproduces the float answer."""
-    game = build_attacker_lp(profile3, CostParams(0.5, 0.3))
-    sol = simplex_solve(game)
-    assert sol.status == "optimal"
-    sf = standard_form(game)
-    nrows = len(sf.rows)
-    assert len(sol.basis) == nrows
+    params = CostParams(0.5, 0.3)
+    game = build_attacker_lp(profile3, params)
+    commitment = _commitment_lps(monkeypatch, profile3, params)
+    # No commitment LP holds an effort at 1: each vulnerable rho_f stays below
+    # 1 - ca / (C_f - C0). Reversing the abstention LP's objective pushes every
+    # rho_f to its upper bound, where the solver flips it.
+    abstain = commitment[0]
+    all_out = LinearProgram(tuple(-c for c in abstain.objective), *astuple(abstain)[1:])
+    for program in (game, *commitment, all_out):
+        sol = simplex_solve(program)
+        assert sol.status == "optimal"
+        assert len(sol.basis) == len(standard_form(program).rows)
+        exact_value, point = _exact_point(program, sol)
+        assert sol.value == pytest.approx(float(exact_value), abs=1e-9)
+        for label, exact in point.items():
+            assert sol.assignment[label] == pytest.approx(float(exact), abs=1e-9)
+    top = simplex_solve(all_out)
+    assert top.at_upper and set(top.assignment.values()) == {1.0}
 
-    basis_cols = list(sol.basis)
-    a = [[Fraction(sf.rows[r][c]) for c in basis_cols] for r in range(nrows)]
-    b = [Fraction(x) for x in sf.rhs]
-    xb = dict(zip(basis_cols, _exact_gauss(a, b)))
+    # Random LPs with mixed bounds; some end with an artificial in the basis.
+    rng = np.random.default_rng(8)
+    solved = [(program, simplex_solve(program)) for program in (_random_lp(rng) for _ in range(300))]
+    optimal = [(program, sol) for program, sol in solved if sol.status == "optimal"]
+    assert any(sol.at_upper for _, sol in optimal)
+    assert any(max(sol.basis, default=-1) >= len(standard_form(program).c) for program, sol in optimal)
+    for program, sol in optimal:
+        exact_value, point = _exact_point(program, sol)
+        assert sol.value == pytest.approx(float(exact_value), rel=1e-9, abs=1e-9)
+        for label, exact in point.items():
+            assert sol.assignment[label] == pytest.approx(float(exact), rel=1e-9, abs=1e-9)
 
-    exact_value = -sum(Fraction(sf.c[c]) * xb.get(c, Fraction(0)) for c in basis_cols)
-    assert sol.value == pytest.approx(float(exact_value), abs=1e-9)
-    for label, (offset, combo) in zip(game.labels, sf.recover):
-        exact = Fraction(offset) + sum(Fraction(coef) * xb.get(col, Fraction(0)) for col, coef in combo)
-        assert sol.assignment[label] == pytest.approx(float(exact), abs=1e-9)
+
+def _random_lp(rng):
+    """Up to 6 variables with mixed bounds (some fixed), up to 5 inequality and
+    2 equality rows; integer data half the time, so that ties and degenerate
+    vertices are common."""
+    n, m_ub, m_eq = int(rng.integers(1, 7)), int(rng.integers(0, 6)), int(rng.integers(0, 3))
+    integer = rng.random() < 0.5
+
+    def draw(*shape):
+        x = rng.integers(-3, 4, size=shape).astype(float) if integer else rng.normal(size=shape)
+        return np.where(rng.random(shape) < 0.3, 0.0, x)
+
+    bounds = []
+    for _ in range(n):
+        lo = float(draw())
+        hi = lo + abs(float(draw()))
+        bounds.append([(0.0, None), (lo, hi), (None, None), (None, hi), (lo, None)][rng.integers(5)])
+    return LinearProgram(
+        tuple(draw(n).tolist()), tuple(map(tuple, draw(m_ub, n).tolist())), tuple(draw(m_ub).tolist()),
+        tuple(map(tuple, draw(m_eq, n).tolist())), tuple(draw(m_eq).tolist()), tuple(bounds),
+        tuple(f"x{j}" for j in range(n)),
+    )
+
+
+def test_simplex_steps_keep_every_basic_value_within_its_bounds(monkeypatch):
+    """After every pivot and bound flip, in both phases, each basic value lies
+    in [0, its upper bound]. A final answer can hide a wrong step: skipping
+    the flip of a variable that leaves at its upper bound still ends at the
+    optimum on these LPs, by way of infeasible bases."""
+    steps = [0]
+
+    def checked(step):
+        def run(t, *args):
+            step(t, *args)
+            values = t.tab[: len(t.basis), -1]
+            slack = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+            assert (values >= -slack).all() and (values <= t.basic_upper + slack).all()
+            steps[0] += 1
+        return run
+
+    monkeypatch.setattr(oracle._Tableau, "pivot", checked(oracle._Tableau.pivot))
+    monkeypatch.setattr(oracle._Tableau, "flip", checked(oracle._Tableau.flip))
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        simplex_solve(_random_lp(rng))
+    assert steps[0] > 500
+
+
+def _highs(linprog, program):
+    """Status and value from HiGHS. Its presolve reports an LP that is
+    infeasible or unbounded as infeasible, so that status is re-checked
+    without presolve."""
+    n = len(program.objective)
+    args = dict(
+        c=[-c for c in program.objective],
+        A_ub=np.reshape(program.a_ub, (-1, n)) if program.a_ub else None,
+        b_ub=program.b_ub or None,
+        A_eq=np.reshape(program.a_eq, (-1, n)) if program.a_eq else None,
+        b_eq=program.b_eq or None,
+        bounds=list(program.bounds),
+        method="highs",
+    )
+    res = linprog(**args)
+    if res.status == 2:
+        res = linprog(**args, options={"presolve": False})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if status == "optimal" else None)
+
+
+def test_simplex_agrees_with_highs(monkeypatch):
+    """Same status as HiGHS, and values within 2e-9 relative, on random LPs and
+    on the commitment and attacker LPs of random games, some of them 1e-9
+    relative from a band constant."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(3)
+    programs = [_random_lp(rng) for _ in range(300)]
+    for k in range(30):
+        profile, params = random_game(rng)
+        if k % 2:
+            band = float(rng.choice(partition_by_cost(profile).bands))
+            params = CostParams(params.attack_cost, band * (1.0 + 1e-9))
+        programs += _commitment_lps(monkeypatch, profile, params)
+        programs.append(build_attacker_lp(profile, params))
+    statuses = Counter()
+    for program in filter(lambda p: p.objective, programs):  # HiGHS takes no empty LP
+        sol = simplex_solve(program)
+        status, value = _highs(linprog, program)
+        statuses[status] += 1
+        assert sol.status == status, program
+        if value is not None:
+            assert abs(sol.value - value) <= 2e-9 * max(1.0, abs(value)), program
+    assert min(statuses.values()) >= 50 and len(statuses) == 3, statuses
 
 
 def test_attacker_best_response_enum(profile3):
@@ -230,12 +368,23 @@ def test_oracles_agree_next_to_every_band_constant():
                 assert res.ok, (profile, near, res.failures)
 
 
-@pytest.mark.parametrize("cd", [0.4, 1.3, 3.0, 40.0])
-def test_verify_spe_accepts_the_optimum_with_ten_vulnerable_facilities(cd):
-    big = FacilityProfile(10.0, tuple((f"f{i}", 15.0 + i + 0.5 * (i % 3)) for i in range(10)))
+def _accepts_the_optimum_with_vulnerable_facilities(n, cd):
+    big = FacilityProfile(10.0, tuple((f"f{i}", 15.0 + i + 0.5 * (i % 3)) for i in range(n)))
     params = CostParams(1.0, cd)
     out = solve_spe(big, params)
     assert verify_spe(big, params, out.effort, out.defender_utility).ok
+
+
+@pytest.mark.parametrize("cd", [0.4, 1.3, 3.0, 40.0])
+def test_verify_spe_accepts_the_optimum_with_ten_vulnerable_facilities(cd):
+    _accepts_the_optimum_with_vulnerable_facilities(10, cd)
+
+
+@pytest.mark.parametrize("n", [30, 50])
+@pytest.mark.parametrize("cd", [0.4, 1.3, 3.0, 40.0])
+def test_verify_spe_accepts_the_optimum_with_many_vulnerable_facilities(cd, n):
+    """The ten-facility case at 30 and 50: a slowdown or cycling at scale shows here."""
+    _accepts_the_optimum_with_vulnerable_facilities(n, cd)
 
 
 @pytest.mark.parametrize("ca", [0.2, 0.7, 1.7, 2.5])

@@ -1,5 +1,8 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -326,6 +329,24 @@ def test_cli_out_mirrors_stdout(capsys, tmp_path):
     code, out = run_cli(capsys, "solve-ne", "--scenario", str(THREE), "--out", str(dest))
     assert code == 0
     assert dest.read_text() == out
+
+
+@pytest.mark.parametrize("command", [
+    ("regimes", "--scenario", str(THREE), "--grid", "0:4:200,0:4:200"),
+    ("simulate", "--scenario", str(LOCKIN), "--horizon", "5000"),
+])
+def test_cli_treats_a_closed_stdout_as_the_end_of_output(command):
+    """`facsec ... | head -1`: both outputs exceed a pipe buffer, so the
+    reader closes the pipe while the command is still writing."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "facsec.cli", *command], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, stderr
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
 def python_block(name):
