@@ -10,8 +10,9 @@ prediction at the realized loads.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -120,9 +121,9 @@ class _StagePlan:
     """The part of a stage that its belief fixes.
 
     It holds the Wardrop flow on the belief-mixed latencies, the edges that
-    flow loads (the observed edges), the realized state's latency there, and
-    each belief state's predicted latency there, as a states × observed-edges
-    matrix.
+    flow loads (the observed edges), the realized state's latency there, each
+    belief state's predicted latency there, as a states × observed-edges
+    matrix, and which states have positive mass.
     """
 
     belief: Belief
@@ -131,6 +132,7 @@ class _StagePlan:
     observed: tuple[str, ...]
     truth: np.ndarray
     predicted: np.ndarray
+    positive: np.ndarray
 
 
 def _plan_stage(
@@ -149,25 +151,50 @@ def _plan_stage(
     truth = np.array(at_loads(realized_state), dtype=float)
     # one row per state, so the matrix stays 2-D when no edge is observed
     predicted = np.array([at_loads(s) for s in belief.states], dtype=float)
-    return _StagePlan(belief, noise_half_width, flow, observed, truth, predicted)
+    positive = np.array([theta > 0.0 for _, theta in belief.probs])
+    return _StagePlan(belief, noise_half_width, flow, observed, truth, predicted, positive)
 
 
-def _play_stage(plan: _StagePlan, rng: np.random.Generator) -> StageResult:
-    """Draw the noise of every observed edge at once (the same numbers, in the
-    same order, as one scalar draw per edge) and test every state's support."""
+# A block of stages costs one noise draw and one support check. It is at most
+# BLOCK_STAGES stages, and at most BLOCK_CELLS stage × state × observed-edge
+# comparisons, which bounds the check's temporary arrays on large networks.
+BLOCK_STAGES = 4096
+BLOCK_CELLS = 1 << 18
+
+
+def _play_block(
+    plan: _StagePlan, rng: np.random.Generator, stages: int
+) -> tuple[np.ndarray, np.ndarray, Belief]:
+    """Play up to ``stages`` stages on the plan's belief, ending after the
+    first stage that changes it.
+
+    Returns the observations (stages played × observed edges), the degenerate
+    flag of each stage played and the belief after the last one. A stage that
+    rules out every positive-mass state is degenerate and keeps the belief, so
+    the block plays on. The noise is one draw of stages × observed edges,
+    the same numbers in the same order as one draw per stage; when the block
+    ends early, the generator is rewound and redrawn to just past the stages
+    played, where a stage-by-stage loop would have left it.
+    """
     b = plan.noise_half_width
-    obs = plan.truth + rng.uniform(-b, b, size=len(plan.observed))
-    observations = dict(zip(plan.observed, obs.tolist()))
-    survives = (np.abs(obs - plan.predicted) <= b + SUPPORT_SLACK).all(axis=1).tolist()
+    n = len(plan.observed)
+    start = rng.bit_generator.state
+    obs = plan.truth + rng.uniform(-b, b, size=(stages, n))
+    survives = (np.abs(obs[:, None, :] - plan.predicted) <= b + SUPPORT_SLACK).all(axis=2)
+    kept = survives[:, plan.positive]
+    degenerate = ~kept.any(axis=1)
+    changes = np.flatnonzero(~kept.all(axis=1) & ~degenerate)
+    if not changes.size:
+        return obs, degenerate, plan.belief
+    s = int(changes[0])
+    if s + 1 < stages:
+        rng.bit_generator.state = start
+        rng.uniform(-b, b, size=(s + 1, n))
     belief = plan.belief
-    if all(ok for ok, (_, theta) in zip(survives, belief.probs) if theta > 0.0):
-        return StageResult(plan.flow, observations, belief, False)
-    masses = [theta if ok else 0.0 for ok, (_, theta) in zip(survives, belief.probs)]
+    masses = [theta if ok else 0.0 for ok, (_, theta) in zip(survives[s].tolist(), belief.probs)]
     total = sum(masses)
-    if total <= 0.0:
-        return StageResult(plan.flow, observations, belief, True)
-    posterior = Belief(tuple((s, m / total) for (s, _), m in zip(belief.probs, masses)))
-    return StageResult(plan.flow, observations, posterior, False)
+    posterior = Belief(tuple((state, m / total) for (state, _), m in zip(belief.probs, masses)))
+    return obs[: s + 1], degenerate[: s + 1], posterior
 
 
 def stage_step(
@@ -186,7 +213,9 @@ def stage_step(
     degenerate. When nothing is eliminated the belief object is returned
     unchanged (the all-ones likelihood cancels in the normalization).
     """
-    return _play_stage(_plan_stage(belief, network, noise_half_width, realized_state), rng)
+    plan = _plan_stage(belief, network, noise_half_width, realized_state)
+    obs, degenerate, posterior = _play_block(plan, rng, 1)
+    return StageResult(plan.flow, dict(zip(plan.observed, obs[0].tolist())), posterior, bool(degenerate[0]))
 
 
 @dataclass(frozen=True)
@@ -210,10 +239,57 @@ class StageRecord:
 
 
 @dataclass(frozen=True)
+class _Segment:
+    """The stages one belief played in one block, as columns."""
+
+    first: int  # the 1-based stage of row 0
+    plan: _StagePlan
+    observations: np.ndarray  # stages × plan.observed
+    degenerate: np.ndarray  # one flag per stage
+    belief_after: Belief  # after the last stage; every earlier stage keeps plan.belief
+
+    def records(self, start: int, stop: int) -> Iterator[StageRecord]:
+        plan, last = self.plan, len(self.degenerate) - 1
+        rows = zip(self.observations[start:stop].tolist(), self.degenerate[start:stop].tolist())
+        for row, (obs, degenerate) in enumerate(rows, start):
+            after = self.belief_after if row == last else plan.belief
+            yield StageRecord(
+                self.first + row, plan.belief, plan.flow, dict(zip(plan.observed, obs)), after, degenerate
+            )
+
+
+class StageRecords(Sequence):
+    """A trace's stages held as column segments, one per block of stages
+    played on one belief. It reads as the sequence of its ``StageRecord``s,
+    built on access; the records of a segment share its belief and flow
+    objects."""
+
+    def __init__(self, segments: Sequence[_Segment]) -> None:
+        self.segments = tuple(segments)
+        self._firsts = np.array([seg.first for seg in self.segments], dtype=np.int64)
+        self._len = sum(len(seg.degenerate) for seg in self.segments)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[t] for t in range(self._len)[index])
+        stage = range(1, self._len + 1)[index]
+        seg = self.segments[int(np.searchsorted(self._firsts, stage, side="right")) - 1]
+        row = stage - seg.first
+        return next(seg.records(row, row + 1))
+
+    def __iter__(self) -> Iterator[StageRecord]:
+        for seg in self.segments:
+            yield from seg.records(0, len(seg.degenerate))
+
+
+@dataclass(frozen=True)
 class LearningTrace:
     config: SimulationConfig
     realized_state: State
-    records: tuple[StageRecord, ...]
+    records: StageRecords
 
 
 def run_simulation(config: SimulationConfig) -> LearningTrace:
@@ -228,7 +304,8 @@ def run_simulation(config: SimulationConfig) -> LearningTrace:
     plan (one Wardrop solve) is kept while the belief object is unchanged:
     one solve per distinct belief. A changed belief has lost a state from its
     support, and support never grows back, so a belief once left never
-    returns; keeping only the last plan therefore misses no reuse.
+    returns; keeping only the last plan therefore misses no reuse. The stages
+    of a plan are played in blocks (see ``BLOCK_STAGES``).
     """
     if config.horizon < 1:
         raise LearningError(f"horizon must be at least 1, got {config.horizon!r}")
@@ -244,16 +321,17 @@ def run_simulation(config: SimulationConfig) -> LearningTrace:
     realized = config.state_dist.sample(rng)
     belief = config.prior
     plan: Optional[_StagePlan] = None
-    records: list[StageRecord] = []
-    for t in range(1, config.horizon + 1):
+    segments: list[_Segment] = []
+    played = 0
+    while played < config.horizon:
         if plan is None or plan.belief is not belief:
             plan = _plan_stage(belief, config.network, config.noise_half_width, realized)
-        step = _play_stage(plan, rng)
-        records.append(
-            StageRecord(t, belief, step.flow, step.observations, step.posterior, step.degenerate)
-        )
-        belief = step.posterior
-    return LearningTrace(config, realized, tuple(records))
+        cells = max(1, plan.predicted.size)
+        stages = min(BLOCK_STAGES, max(1, BLOCK_CELLS // cells), config.horizon - played)
+        obs, degenerate, belief = _play_block(plan, rng, stages)
+        segments.append(_Segment(played + 1, plan, obs, degenerate, belief))
+        played += len(degenerate)
+    return LearningTrace(config, realized, StageRecords(segments))
 
 
 def _state_label(state: State) -> str:
@@ -272,7 +350,6 @@ def write_trace_csv(trace: LearningTrace, dest: TextIO) -> None:
     dest.write(
         f"# seed={trace.config.seed} true_state={_state_label(trace.realized_state)}\n"
     )
-    writer = csv.writer(dest, lineterminator="\n")
     header = (
         ["t"]
         + [f"theta_{'empty' if s is None else s}" for s in states]
@@ -280,20 +357,28 @@ def write_trace_csv(trace: LearningTrace, dest: TextIO) -> None:
         + [f"obs_{eid}" for eid in network.edge_ids]
         + ["degenerate"]
     )
-    writer.writerow(header)
+    csv.writer(dest, lineterminator="\n").writerow(header)  # quotes ids holding , or "
 
     def num(x: float) -> str:
         return format(x, ".9g")
 
-    edge_ids, route_ids = network.edge_ids, network.route_ids
-    belief = flow = None  # theta and q_ fields are formatted once per belief and flow
-    for rec in trace.records:
-        if rec.belief_after is not belief or rec.flow is not flow:
-            belief, flow = rec.belief_after, rec.flow
-            routed = [num(belief.prob(s)) for s in states]
-            routed += [num(flow.route_flows[rid]) for rid in route_ids]
-        obs = rec.observations
-        row = [str(rec.stage), *routed]
-        row += [num(obs[eid]) if eid in obs else "" for eid in edge_ids]
-        row.append("1" if rec.degenerate else "0")
-        writer.writerow(row)
+    def routed(belief: Belief, flow: FlowAssignment) -> str:
+        fields = [num(belief.prob(s)) for s in states]
+        fields += [num(flow.route_flows[rid]) for rid in network.route_ids]
+        return ",".join(fields)
+
+    # Data fields are numbers or empty, which csv never quotes, so rows are
+    # joined directly: column by column within a segment, theta and q_ fields
+    # formatted once per segment.
+    for seg in trace.records.segments:
+        plan, stages = seg.plan, len(seg.degenerate)
+        before = routed(plan.belief, plan.flow)
+        after = before if seg.belief_after is plan.belief else routed(seg.belief_after, plan.flow)
+        observed = dict(zip(plan.observed, seg.observations.T.tolist()))
+        columns = [map(str, range(seg.first, seg.first + stages)), [before] * (stages - 1) + [after]]
+        columns += [
+            [format(x, ".9g") for x in observed[eid]] if eid in observed else [""] * stages
+            for eid in network.edge_ids
+        ]
+        columns.append(["1" if flag else "0" for flag in seg.degenerate.tolist()])
+        dest.write("\n".join(map(",".join, zip(*columns))) + "\n")

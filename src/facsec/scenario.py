@@ -86,6 +86,12 @@ _LEARNING_SETTINGS = {
 }
 
 
+# Words that stand for something other than an edge where an edge id may
+# appear: the intact state in prior rows and true_state ("none"), its trace
+# column theta_empty, and the equilibrium-derived true states.
+_RESERVED_EDGE_IDS = ("none", "empty", "ne", "spe")
+
+
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     section: Optional[str] = None
     section_line = {name: 0 for name in _SECTIONS}
@@ -142,6 +148,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                     raise ScenarioError(f"{where}: duplicate demand")
                 demand = _number(tokens[1], where)
             elif tokens[0] == "edge" and len(tokens) == 6:
+                if tokens[1] in _RESERVED_EDGE_IDS:
+                    raise ScenarioError(f"{where}: edge id {tokens[1]!r} is a reserved word")
                 coeffs = [_number(t, where) for t in tokens[2:]]
                 edges.append(
                     Edge(

@@ -96,6 +96,16 @@ def test_repeated_learning_settings_are_rejected():
             parse_scenario(doubled)
 
 
+@pytest.mark.parametrize("word", ["none", "empty", "ne", "spe"])
+def test_cli_rejects_reserved_edge_ids(capsys, tmp_path, word):
+    # every " e1" names the edge e1: its edge line, a route and a prior row
+    path = tmp_path / "reserved.scn"
+    path.write_text(LOCKIN.read_text().replace(" e1", f" {word}"))
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--horizon", "3")
+    assert code == 1
+    assert f"edge id '{word}' is a reserved word" in out
+
+
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="No such file"):
         load_scenario(str(tmp_path / "absent.scn"))
@@ -289,6 +299,50 @@ def test_cli_simulate_golden(capsys, path, seed):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == SIMULATE_GOLDEN[path, seed]
+
+
+QUOTED_IDS = """\
+[facilities]
+baseline_cost 17
+e1 20
+
+[costs]
+attack_cost 0.5
+defense_cost 0.3
+
+[network]
+demand 5
+edge e,1 1 0 1 0
+edge e"2 1 2 2.3333333333333335 50
+edge e3 1 2 1 2
+route r,1 e"2 e,1
+route "r2" e3 e,1
+
+[learning]
+noise_half_width 3
+horizon 4
+true_state none
+prior e,1 0.0833333333333333
+prior e"2 0.3333333333333333
+prior e3 0.0833333333333333
+prior none 0.5
+"""
+
+
+def test_cli_simulate_quotes_ids_in_the_header(capsys, tmp_path):
+    # pinned from the csv.writer row loop
+    path = tmp_path / "quoted.scn"
+    path.write_text(QUOTED_IDS)
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--seed", "7")
+    assert code == 0
+    assert out == (
+        "# seed=7 true_state=none\n"
+        't,"theta_e,1","theta_e""2",theta_e3,theta_empty,"q_r,1","q_""r2""","obs_e,1","obs_e""2",obs_e3,degenerate\n'
+        "1,0.0833333333,0.333333333,0.0833333333,0.5,0,5,7.38328281,,8.65411414,0\n"
+        "2,0.0833333333,0.333333333,0.0833333333,0.5,0,5,3.35124314,,5.80099771,0\n"
+        "3,0.0833333333,0.333333333,0.0833333333,0.5,0,5,7.24132067,,4.03159183,0\n"
+        "4,0.0833333333,0.333333333,0.0833333333,0.5,0,5,6.92737051,,8.78241657,0\n"
+    )
 
 
 def test_cli_simulate_prints_a_negative_zero_prior_as_0(capsys, tmp_path):
