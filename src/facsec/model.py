@@ -13,8 +13,10 @@ with effort vectors throughout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -74,6 +76,11 @@ def _on_boundary_array(x: np.ndarray, line) -> np.ndarray:
 def _not_above_array(x, line) -> np.ndarray:
     """``_not_above`` elementwise."""
     return (x < line) | _on_boundary_array(x, line)
+
+
+def _count_above(values: np.ndarray, x):
+    """How many of the non-increasing ``values`` exceed ``x``, a number or an array."""
+    return len(values) - values[::-1].searchsorted(x, side="right")
 
 
 class ModelError(ValueError):
@@ -148,16 +155,6 @@ class CostLevel:
 
 
 @dataclass(frozen=True)
-class CurvePiece:
-    """Piece (i, j) of the threshold curve, cd = (C(j)-C0) / (a_ij - ca*S_i) on
-    [lo, hi): ca in bracket i, concession level j. Empty when lo >= hi."""
-
-    lo: float
-    hi: float
-    a: float  # a_ij = (C(j)-C0)*S_{j-1} + E(j) + ... + E(i), with S_0 = 0
-
-
-@dataclass(frozen=True)
 class Location:
     """Where (ca, cd) lies in the regime diagram of a partition."""
 
@@ -213,53 +210,61 @@ class FacilityPartition:
     @cached_property
     def prefix_ratios(self) -> tuple[float, ...]:
         """S_k, the prefix sums of E(k)/(C(k)-C0), one entry per level."""
-        out, acc = [], 0.0
-        for size, edge in zip(self.level_sizes, self.edges):
-            acc += size / edge
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(size / edge for size, edge in zip(self.level_sizes, self.edges)))
 
     @cached_property
     def bands(self) -> tuple[float, ...]:
         """Band constants 1/S_k, decreasing in k: the defense costs where regimes switch."""
         return tuple(1.0 / s for s in self.prefix_ratios)
 
-    def bracket(self, attack_cost: float) -> int:
-        """Number of levels whose cost increase beats the attack cost (the regime index i)."""
-        return sum(1 for edge in self.edges if edge > attack_cost)
+    @cached_property
+    def prefix_sizes(self) -> tuple[int, ...]:
+        """N_k, the number of facilities in levels 1..k, from N_0 = 0."""
+        return (0, *accumulate(self.level_sizes))
 
     @cached_property
-    def curve_pieces(self) -> dict[tuple[int, int], CurvePiece]:
-        """The threshold curve's pieces, keyed (i, j) for 1 <= j <= i <= K, left to
-        right. Bracket i spans [C(i+1)-C0, C(i)-C0), from 0 when i = K; in it,
-        piece j ends where the sum of E(k)/S_i over k = i, ..., j passes ca."""
-        edges, sizes, ratios = self.edges, self.level_sizes, self.prefix_ratios
-        pieces: dict[tuple[int, int], CurvePiece] = {}
-        for i in range(self.K, 0, -1):
-            left, right = (edges[i] if i < self.K else 0.0), edges[i - 1]
-            start, members = 0.0, 0
-            for j in range(i, 0, -1):
-                end = start + sizes[j - 1] / ratios[i - 1] if j > 1 else math.inf
-                members += sizes[j - 1]
-                a = edges[j - 1] * (ratios[j - 2] if j > 1 else 0.0) + members
-                pieces[i, j] = CurvePiece(max(start, left), min(end, right), a)
-                start = end
-        return pieces
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Edges and bands for k = 1..K, then S_k (with S_0 = 0) and N_k for k = 0..K."""
+        columns = (self.edges, self.bands, (0.0, *self.prefix_ratios), self.prefix_sizes)
+        return tuple(np.array(column, dtype=float) for column in columns)
 
-    def cd_ij(self, ca: float, i: int, j: int) -> float:
-        """Piece (i, j) at ``ca``; raises NonpositiveDenominator where it degenerates."""
-        sizes, edges = self.level_sizes, self.edges
-        den = self.curve_pieces[i, j].a - sum(ca * sizes[k] / edges[k] for k in range(i))
+    def bracket(self, attack_cost: float) -> int:
+        """Number of levels whose cost increase beats the attack cost (the regime index i)."""
+        return int(_count_above(self._arrays[0], attack_cost))
+
+    def _curve(self, ca, i, j=None):
+        """Piece (i, j) of the threshold curve at ``ca``, as C(j)-C0 and a_ij - ca*S_i, where
+        a_ij = (C(j)-C0)*S_{j-1} + N_i - N_{j-1}; on numbers, or on arrays elementwise. By
+        default j is the piece that holds ca: it ends where t = N_i - ca*S_i falls to N_{j-1}."""
+        edges, _, ratios, sizes = self._arrays
+        if j is None:
+            j = 1 + sizes[1:].searchsorted(sizes[i] - ca * ratios[i])
+        edge = edges[j - 1]
+        return edge, edge * ratios[j - 1] + (sizes[i] - sizes[j - 1]) - ca * ratios[i]
+
+    def cd_ij(self, ca: float, i: int, j: Optional[int] = None) -> float:
+        """Piece (i, j) at ``ca``, by default the piece that holds ca; raises
+        NonpositiveDenominator where it degenerates."""
+        edge, den = self._curve(ca, i, j)
         if den <= 0.0:
-            raise NonpositiveDenominator(f"cd_{i}{j} denominator {den!r} at attack cost {ca!r}")
-        return edges[j - 1] / den
+            raise NonpositiveDenominator(
+                f"cd_{i}{j or ''} denominator {float(den)!r} at attack cost {ca!r}"
+            )
+        return float(edge / den)
 
     def cd_tilde(self, ca: float) -> float:
         """The threshold curve at 0 <= ca < C(1)-C0."""
-        i = j = self.bracket(ca)
-        while ca >= self.curve_pieces[i, j].hi:
-            j -= 1
-        return self.cd_ij(ca, i, j)
+        return self.cd_ij(ca, self.bracket(ca))
+
+    def cd_tilde_inverse(self, cd: float) -> float:
+        """The attack cost where the threshold curve, rising with ca, reaches ``cd`` >
+        cd_tilde(0): in the bracket i whose ends hold cd, on the piece 1 + #{bands above cd}."""
+        edges, bands, ratios, _ = self._arrays
+        i = 1 + bisect_left(range(1, self.K), -cd, key=lambda k: -self.cd_tilde(edges[k]))
+        j = min(1 + int(_count_above(bands, cd)), i)
+        edge, a = self._curve(0.0, i, j)  # the denominator at ca = 0 is a_ij
+        ca = (a - edge / cd) / ratios[i]
+        return float(min(max(ca, edges[i] if i < self.K else 0.0), edges[i - 1]))
 
     def locate(self, ca: float, cd: float) -> Location:
         """Place (ca, cd) among the level edges C(k)-C0, the band constants 1/S_k
@@ -271,7 +276,7 @@ class FacilityPartition:
         jumps. Band k separates NE regimes for k <= i, SPE regimes above the
         curve, and the region for k = i."""
         edges, bands, i = self.edges, self.bands, self.bracket(ca)
-        j = 1 + sum(1 for band in bands if band > cd)
+        j = 1 + int(_count_above(self._arrays[1], cd))
         if on_boundary(ca, edges[0]):
             return Location(i, j, True, "boundary", True, True)
         crossed = [k for k in range(2, self.K + 1) if on_boundary(ca, edges[k - 1])]
@@ -299,10 +304,9 @@ class FacilityPartition:
         rule: what depends on ca alone is found once per row, what depends on
         cd alone once per column, and the rest by broadcasting one against the
         other with ``on_boundary``'s expression applied elementwise."""
-        K, edges, bands = self.K, np.array(self.edges), np.array(self.bands)
-        # edges and bands are non-increasing: count those above ca and cd
-        i = K - np.searchsorted(edges[::-1], ca, side="right")
-        j = 1 + K - np.searchsorted(bands[::-1], cd, side="right")
+        K, (edges, bands) = self.K, self._arrays[:2]
+        i = _count_above(edges, ca)
+        j = 1 + _count_above(bands, cd)
         edge_hits = _on_boundary_array(ca[:, None], edges)
         edge1 = edge_hits[:, 0]
         crossed = edge_hits[:, 1:] & ~edge1[:, None]  # column k-2 for edge k
@@ -315,10 +319,9 @@ class FacilityPartition:
             on_region |= rows & _not_above_array(bands[k - 1], cd) & _not_above_array(cd, bands[k - 2])
         # the curve is infinite from C(1)-C0 on; on edge 1 it is not needed
         has_curve = (i > 0) & ~edge1
-        curve = np.array([
-            self.cd_tilde(x) if inside else math.inf
-            for x, inside in zip(ca.tolist(), has_curve.tolist())
-        ])
+        edge, den = self._curve(ca[has_curve], i[has_curve])
+        curve = np.full(len(ca), math.inf)
+        curve[has_curve] = edge / den
         below = cd < curve[:, None]
         on_curve = has_curve[:, None] & _on_boundary_array(cd, curve[:, None])
         band_hits = _on_boundary_array(cd, bands[:, None])  # row k-1 for band k

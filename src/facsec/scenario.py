@@ -86,10 +86,9 @@ _LEARNING_SETTINGS = {
 }
 
 
-# Words that stand for something other than an edge where an edge id may
-# appear: the intact state in prior rows and true_state ("none"), its trace
-# column theta_empty, and the equilibrium-derived true states.
-_RESERVED_EDGE_IDS = ("none", "empty", "ne", "spe")
+# Not facility or edge ids: "none" is the intact state (prior rows, true_state, attack
+# lines), "empty" its trace column theta_empty, "ne" and "spe" derived true states.
+_RESERVED_IDS = ("none", "empty", "ne", "spe")
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -132,6 +131,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 if baseline is not None:
                     raise ScenarioError(f"{where}: duplicate baseline_cost")
                 baseline = _number(tokens[1], where)
+            elif tokens[0] in _RESERVED_IDS:
+                raise ScenarioError(f"{where}: facility id {tokens[0]!r} is a reserved word")
             else:
                 facility_rows.append((tokens[0], _number(tokens[1], where)))
 
@@ -148,7 +149,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                     raise ScenarioError(f"{where}: duplicate demand")
                 demand = _number(tokens[1], where)
             elif tokens[0] == "edge" and len(tokens) == 6:
-                if tokens[1] in _RESERVED_EDGE_IDS:
+                if tokens[1] in _RESERVED_IDS:
                     raise ScenarioError(f"{where}: edge id {tokens[1]!r} is a reserved word")
                 coeffs = [_number(t, where) for t in tokens[2:]]
                 edges.append(

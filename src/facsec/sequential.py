@@ -85,8 +85,9 @@ def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float
     """Defense cost at which deterring levels 1..i costs exactly as much as
     conceding an attack pinned down to level j.
 
-    Defined for 1 <= j <= i <= K; raises NonpositiveDenominator where the
-    expression degenerates (attack cost too large for the requested levels).
+    Defined for 1 <= j <= i <= K as (C(j)-C0) / (a_ij - ca*S_i), with a_ij =
+    (C(j)-C0)*S_{j-1} + N_i - N_{j-1} read from the prefix sums S_k of E(k)/(C(k)-C0)
+    and N_k of E(k). Raises NonpositiveDenominator where it degenerates.
     """
     partition = partition_by_cost(profile)
     if not (1 <= j <= i <= partition.K):
@@ -110,10 +111,10 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
 def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     """Attack cost at which the threshold curve reaches ``defense_cost``.
 
-    On piece (i, j) the curve is (C(j)-C0) / (a_ij - ca*S_i), so the inverse
-    is ca = (a_ij - (C(j)-C0)/cd) / S_i on the first piece, from the left,
-    whose right end reaches ``defense_cost``. Raises BelowRange when the
-    defense cost is below the curve's value at zero attack cost.
+    On piece (i, j) the curve is (C(j)-C0) / (a_ij - ca*S_i) (see ``cd_ij``), so
+    ca = (a_ij - (C(j)-C0)/cd) / S_i, clipped to bracket i. Bisections find j, the
+    concession level, and i, the bracket whose ends hold cd, in O(log K) curve
+    values. Raises BelowRange below the curve's value at attack cost 0.
     """
     partition = partition_by_cost(profile)
     base = partition.cd_tilde(0.0)
@@ -121,14 +122,7 @@ def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
         if on_boundary(defense_cost, base):
             return 0.0
         raise BelowRange(f"defense cost {defense_cost!r} below the curve minimum {base!r}")
-    edges, ratios = partition.edges, partition.prefix_ratios
-    for (i, j), piece in partition.curve_pieces.items():
-        if piece.lo >= piece.hi:  # the piece lies outside its bracket
-            continue
-        ca = (piece.a - edges[j - 1] / defense_cost) / ratios[i - 1]
-        if ca <= piece.hi:
-            return max(ca, piece.lo)
-    return edges[0]  # beyond the last piece's float range: the curve diverges at C(1)-C0
+    return partition.cd_tilde_inverse(defense_cost)
 
 
 def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegime:

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import random
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,21 @@ from facsec.analysis import (
 )
 from facsec.cli import main
 from facsec.model import CostParams, FacilityProfile, partition_by_cost
-from facsec.normalform import BoundaryParameters, NeRegime, classify_regime_ne, ne_utilities
-from facsec.sequential import SpeRegime, cd_threshold_tilde, classify_regime_spe, spe_utilities
+from facsec.normalform import (
+    BoundaryParameters,
+    NeRegime,
+    classify_regime_ne,
+    ne_utilities,
+    solve_ne,
+)
+from facsec.sequential import (
+    SpeRegime,
+    cd_threshold_tilde,
+    cd_tilde_inverse,
+    classify_regime_spe,
+    solve_spe,
+    spe_utilities,
+)
 
 from conftest import random_game
 
@@ -322,3 +336,22 @@ def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
             assert (cell.ud, cell.ua, cell.uds, cell.uas) == (ud, ua, uds, uas), cell
             hits += "boundary" in (cell.ne_regime, cell.spe_regime, cell.region)
     assert hits >= 30
+
+
+def test_closed_forms_at_2000_facilities():
+    # The closed forms cost O(K) to set up and O(log K) per curve lookup, so
+    # 2000 facilities (about as many cost levels) take well under a second.
+    rng = np.random.default_rng(2000)
+    costs = rng.uniform(12.0, 18.0, size=2000)
+    profile = FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs)))
+    params = CostParams(1.0, 0.05)
+    partition_by_cost.cache_clear()
+    start = time.process_time()
+    ne, spe = solve_ne(profile, params), solve_spe(profile, params)
+    region = classify_cost_region(profile, params)
+    ca = cd_tilde_inverse(profile, 2.0)
+    elapsed = time.process_time() - start
+    assert (ne.regime.label, spe.regime.label, region) == ("II-155", "II~-155", CostRegion.HIGH)
+    assert 0.0 < ca < partition_by_cost(profile).edges[0]
+    assert cd_threshold_tilde(profile, ca) == pytest.approx(2.0, rel=1e-12)
+    assert elapsed < 2.0

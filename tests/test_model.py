@@ -35,11 +35,13 @@ def test_classification_and_partition(profile3):
     assert part.K == 1
     assert part.level_costs == (12.0,)
     assert part.level_sizes == (2,)
+    assert part.prefix_sizes == (0, 2)
     assert part.members_up_to(1) == ("up", "up2")
 
     part3 = partition_by_cost(profile3)
     assert part3.level_costs == (20.0, 19.0, 18.0)
     assert part3.level_sizes == (1, 1, 1)
+    assert part3.prefix_sizes == (0, 1, 2, 3)
     assert part3.members_up_to(2) == ("e1", "e2")
     assert part3.edges == (3.0, 2.0, 1.0)
     assert part3.prefix_ratios == pytest.approx((1 / 3, 5 / 6, 11 / 6), rel=1e-15)

@@ -96,14 +96,20 @@ def test_repeated_learning_settings_are_rejected():
             parse_scenario(doubled)
 
 
-@pytest.mark.parametrize("word", ["none", "empty", "ne", "spe"])
-def test_cli_rejects_reserved_edge_ids(capsys, tmp_path, word):
-    # every " e1" names the edge e1: its edge line, a route and a prior row
+@pytest.mark.parametrize(
+    "row, word",
+    [pytest.param("edge", w, id=w) for w in ("none", "empty", "ne", "spe")]
+    + [pytest.param("facility", w, id=f"facility-{w}") for w in ("none", "empty", "ne", "spe")],
+)
+def test_cli_rejects_reserved_edge_ids(capsys, tmp_path, row, word):
+    # every " e1" names the edge e1: its edge line, a route and a prior row;
+    # "\ne1 " starts the facility row e1
+    old = " e1" if row == "edge" else "\ne1 "
     path = tmp_path / "reserved.scn"
-    path.write_text(LOCKIN.read_text().replace(" e1", f" {word}"))
+    path.write_text(LOCKIN.read_text().replace(old, old.replace("e1", word)))
     code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--horizon", "3")
     assert code == 1
-    assert f"edge id '{word}' is a reserved word" in out
+    assert f"{row} id '{word}' is a reserved word" in out
 
 
 def test_load_scenario_missing_file(tmp_path):

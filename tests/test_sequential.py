@@ -62,6 +62,55 @@ def test_tilde_inverse_golden(profile3):
         cd_tilde_inverse(profile3, 0.5)
 
 
+def _points_near_curve_switches(partition, rng):
+    """Attack costs in [0, C(1)-C0): uniform ones, and ones 0-3 ulps and a few
+    1e-13 from up to 12 of the level edges and piece ends, picked at random."""
+    edges, ratios, sizes = partition.edges, partition.prefix_ratios, partition.prefix_sizes
+    switches = list(edges[1:])
+    for i in range(1, partition.K + 1):
+        switches += [(sizes[i] - sizes[j - 1]) / ratios[i - 1] for j in range(2, i + 1)]
+    points = [0.0, *rng.uniform(0.0, edges[0], size=5)]
+    for x in rng.permutation(switches)[:12]:
+        lo = hi = x
+        points += [x, x * (1.0 + 1e-13 * int(rng.integers(-3, 4)))]
+        for _ in range(3):
+            lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+            points += [lo, hi]
+    return [float(x) for x in points if 0.0 <= x < edges[0]]
+
+
+def test_tilde_picks_the_lowest_piece_of_its_bracket():
+    # In bracket i the curve is the lowest of its pieces cd_ij, 1 <= j <= i, so
+    # the bisection that picks the piece must agree with an O(K) scan. Within
+    # rounding of a piece end the two pieces that meet there differ only in
+    # their last few bits, and either is the curve.
+    rng = np.random.default_rng(2024)
+    checked = exact = 0
+    for _ in range(100):
+        c0 = float(rng.uniform(1.0, 50.0))
+        K = int(rng.integers(1, 41))
+        rises = rng.uniform(0.01, 20.0, size=K)
+        sizes = rng.choice([1, 1, 2, 3], size=K)  # repeated levels
+        facilities = [(c0 + float(rise), n) for rise, n in zip(rises, sizes)]
+        profile = FacilityProfile(
+            c0, tuple((f"f{k}-{m}", cost) for k, (cost, n) in enumerate(facilities) for m in range(n))
+        )
+        partition = partition_by_cost(profile)
+        for ca in _points_near_curve_switches(partition, rng):
+            i = partition.bracket(ca)
+            pieces = []
+            for j in range(1, i + 1):
+                try:
+                    pieces.append(cd_ij(profile, ca, i, j))
+                except NonpositiveDenominator:
+                    pieces.append(np.inf)
+            value, lowest = cd_threshold_tilde(profile, ca), min(pieces)
+            assert value in pieces and value <= lowest * (1.0 + 1e-14), (K, ca)
+            checked += 1
+            exact += value == lowest
+    assert checked > 6000 and exact > 0.9 * checked
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.floats(1.0, 50.0),
