@@ -95,6 +95,13 @@ class NonpositiveDenominator(ValueError):
     """The requested threshold expression degenerates at these parameters."""
 
 
+def _lookup(table: Mapping[FacilityId, float], fac: FacilityId, missing: str) -> float:
+    try:
+        return table[fac]
+    except KeyError:
+        raise ModelError(f"{missing} {fac!r}") from None
+
+
 @dataclass(frozen=True)
 class FacilityProfile:
     """Facilities with a common baseline usage cost and per-facility post-attack costs.
@@ -128,10 +135,7 @@ class FacilityProfile:
         return tuple(fac for fac, _ in self.facilities)
 
     def post_attack_cost(self, fac: FacilityId) -> float:
-        try:
-            return self._cost_map[fac]
-        except KeyError:
-            raise ModelError(f"unknown facility {fac!r}") from None
+        return _lookup(self._cost_map, fac, "unknown facility")
 
 
 @dataclass(frozen=True)
@@ -235,12 +239,15 @@ class FacilityPartition:
     def _curve(self, ca, i, j=None):
         """Piece (i, j) of the threshold curve at ``ca``, as C(j)-C0 and a_ij - ca*S_i, where
         a_ij = (C(j)-C0)*S_{j-1} + N_i - N_{j-1}; on numbers, or on arrays elementwise. By
-        default j is the piece that holds ca: it ends where t = N_i - ca*S_i falls to N_{j-1}."""
+        default j is the piece that holds ca: it ends where t = N_i - ca*S_i falls to N_{j-1}.
+        Piece (1, 1) takes its denominator as N_1*(C(1)-C0-ca)/(C(1)-C0), which keeps its
+        relative accuracy where N_1 - ca*S_1 cancels, as ca nears C(1)-C0."""
         edges, _, ratios, sizes = self._arrays
         if j is None:
             j = 1 + sizes[1:].searchsorted(sizes[i] - ca * ratios[i])
         edge = edges[j - 1]
-        return edge, edge * ratios[j - 1] + (sizes[i] - sizes[j - 1]) - ca * ratios[i]
+        den = edge * ratios[j - 1] + (sizes[i] - sizes[j - 1]) - ca * ratios[i]
+        return edge, np.where((i == 1) & (j == 1), sizes[1] * ((edges[0] - ca) / edges[0]), den)
 
     def cd_ij(self, ca: float, i: int, j: Optional[int] = None) -> float:
         """Piece (i, j) at ``ca``, by default the piece that holds ca; raises
@@ -401,11 +408,12 @@ class EffortVector:
             raise ModelError(f"effort on unknown facilities: {sorted(unknown)}")
         return cls(tuple((fac, float(values.get(fac, 0.0))) for fac in profile.facility_ids))
 
+    @cached_property
+    def _effort_map(self) -> dict[FacilityId, float]:
+        return dict(self.efforts)
+
     def get(self, fac: FacilityId) -> float:
-        for f, v in self.efforts:
-            if f == fac:
-                return v
-        raise ModelError(f"no effort entry for facility {fac!r}")
+        return _lookup(self._effort_map, fac, "no effort entry for facility")
 
     def as_dict(self) -> dict[FacilityId, float]:
         return dict(self.efforts)
@@ -448,11 +456,12 @@ class AttackDistribution:
             no_attack = 1.0 - sum(p for _, p in probs)
         return cls(probs, float(no_attack))
 
+    @cached_property
+    def _prob_map(self) -> dict[FacilityId, float]:
+        return dict(self.facility_probs)
+
     def prob(self, fac: FacilityId) -> float:
-        for f, p in self.facility_probs:
-            if f == fac:
-                return p
-        raise ModelError(f"no attack entry for facility {fac!r}")
+        return _lookup(self._prob_map, fac, "no attack entry for facility")
 
     def as_dict(self) -> dict[FacilityId, float]:
         return dict(self.facility_probs)

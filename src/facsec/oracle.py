@@ -1,9 +1,9 @@
 """Independent checking machinery: a small LP solver and equilibrium verifiers.
 
-Everything here is deliberately first-principles — enumeration and a
-two-phase bounded-variable simplex — so it can serve as an oracle against the
-closed-form solvers without sharing their formulas. The commitment check solves one LP per
-attacker pure response on that simplex, so it is exact at any facility count.
+Everything here is deliberately first-principles — enumeration, a two-phase
+bounded-variable simplex, and one LP per attacker response for commitment,
+each maximized by its kinks in one variable — so it can serve as an oracle
+against the closed-form solvers without sharing their formulas.
 """
 
 from __future__ import annotations
@@ -401,6 +401,19 @@ def defender_utility_vs_br(
     return -(table.best_value + params.attack_cost) - spend
 
 
+def _commitment_values(c0: float, ca: float, cd: float, costs) -> list[float]:
+    """The LP values of ``verify_spe``, abstention first, for the vulnerable post-attack
+    ``costs``: phi at every kink in ascending order, from suffix sums of 1/g_f, then its
+    running maximum; O(n log n) for all n + 1 LPs."""
+    ascending = np.sort(costs)
+    n = len(ascending)
+    inverse = np.append(np.cumsum(1.0 / (ascending[::-1] - c0))[::-1], 0.0)  # 1/g_f over positions k..n-1
+    t = np.append(c0 + ca, ascending)  # every kink, ascending
+    above = n - ascending.searchsorted(t, side="right")  # how many C_f exceed t
+    best = np.maximum.accumulate(-t - cd * (above - (t - c0) * inverse[n - above]))  # running max of phi
+    return [-c0 - cd * (n - ca * inverse[0]), *best[ascending.searchsorted(costs, side="right")].tolist()]
+
+
 def verify_spe(
     profile: FacilityProfile,
     params: CostParams,
@@ -413,11 +426,15 @@ def verify_spe(
     The multiple-LPs method (Conitzer & Sandholm, "Computing the optimal
     strategy to commit to", EC 2006): for each attacker pure response, one LP
     finds the best commitment against which that response is a best one, ties
-    going to the defender. The efforts are rho_f in [0, 1] over the vulnerable
-    facilities (Ce - ca > C0); other effort is pinned at 0, because attacking
-    such a facility never beats abstaining. The claimed utility must (a) be
-    attained by the claimed effort against a best-responding attacker and
-    (b) not be beaten by the value of any feasible LP by more than eps.
+    going to the defender. Its variables are the efforts rho_f on the vulnerable
+    facilities (Ce - ca > C0); other effort stays 0. With g = C - C0, abstaining
+    is a best response iff every rho_f >= 1 - ca/g_f, so that LP pays
+    -C0 - cd*sum_f (1 - ca/g_f). Attacking e is one iff its usage cost
+    t = C_e - g_e*rho_e is at least C0 + ca and every C_f - g_f*rho_f: that LP is
+    the maximum of phi(t) = -t - cd*sum_f max(0, (C_f - t)/g_f) over [C0 + ca, C_e],
+    which is concave and piecewise linear, so it lies at C0 + ca or at a kink C_f.
+    The claimed utility must (a) be attained by the claimed effort against a
+    best-responding attacker and (b) not be beaten by any LP by more than eps.
     """
     c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
     vulnerable = [(fac, ce) for fac, ce in profile.facilities if ce - ca > c0]
@@ -430,40 +447,12 @@ def verify_spe(
             f" (re-evaluates to {attained!r})"
         )
 
-    n = len(vulnerable)
-    gains = [ce - c0 for _, ce in vulnerable]  # effort coefficients C_f - C0
-    labels = tuple(f"rho_{fac}" for fac, _ in vulnerable)
-
-    def unit(k: int, coef: float) -> list[float]:
-        out = [0.0] * n
-        out[k] = coef
-        return out
-
-    # Per response: name, objective constant, objective, rows and rhs of a_ub.
-    # Abstaining is a best response iff rho_f (C_f - C0) >= C_f - C0 - ca for all f.
-    programs = [("no-attack", -c0, [-cd] * n, [unit(f, -g) for f, g in enumerate(gains)],
-                 [ca - g for g in gains])]
-    for e, (fac, ce) in enumerate(vulnerable):
-        # Attacking e is one iff it pays at least attacking any other f, and abstaining.
-        rows, rhs = [], []
-        for f, (_, cf) in enumerate(vulnerable):
-            if f != e:
-                rows.append(unit(e, gains[e]))
-                rows[-1][f] = -gains[f]
-                rhs.append(ce - cf)
-        rows.append(unit(e, gains[e]))
-        rhs.append(gains[e] - ca)
-        objective = [x - cd for x in unit(e, gains[e])]
-        programs.append((f"attack {fac}", -ce, objective, rows, rhs))
-
-    for response, constant, objective, rows, rhs in programs:
-        lp = LinearProgram(
-            tuple(objective), tuple(map(tuple, rows)), tuple(rhs), (), (), ((0.0, 1.0),) * n, labels
-        )
-        sol = simplex_solve(lp)
-        if sol.status == "optimal" and constant + sol.value > defender_utility + eps:
+    values = _commitment_values(c0, ca, cd, [ce for _, ce in vulnerable])
+    responses = ["no-attack", *(f"attack {fac}" for fac, _ in vulnerable)]
+    for response, value in zip(responses, values):
+        if value > defender_utility + eps:
             failures.append(
                 f"committing to induce {response} beats the candidate:"
-                f" {constant + sol.value!r} > {defender_utility!r} + {eps!r}"
+                f" {value!r} > {defender_utility!r} + {eps!r}"
             )
     return VerificationResult(not failures, tuple(failures))

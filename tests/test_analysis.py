@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,19 @@ def test_locate_grid_matches_locate_cell_by_cell():
                 assert tuple(grid.__dict__[f][r, c] for f in fields) == tuple(
                     getattr(want, f) for f in fields
                 ), (x, y)
+
+
+@pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-8])
+def test_a_point_on_the_curve_next_to_its_pole_is_on_the_boundary(rel):
+    # In bracket 1 the curve is (C(1)-C0)^2 / (N_1 (C(1)-C0-ca)), which grows without
+    # bound as ca nears C(1)-C0; a point on it, rounded once, must still be found on it.
+    partition = partition_by_cost(FacilityProfile(17.0, (("e1", 20.1), ("e2", 19.0), ("e3", 18.0))))
+    edge = partition.edges[0]
+    ca = edge * (1.0 - rel)
+    cd = float(Fraction(edge) ** 2 / (Fraction(edge) - Fraction(ca)))
+    assert partition.bracket(ca) == 1
+    assert partition.locate(ca, cd).region == "boundary"
+    assert partition.locate_grid(np.array([ca]), np.array([cd])).region[0, 0] == "boundary"
 
 
 def test_regime_sweep_matches_the_scalar_path_cell_by_cell():

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from dataclasses import astuple
 from fractions import Fraction
@@ -127,22 +128,51 @@ def _exact_point(lp, sol):
     return sum(Fraction(c) * point[label] for c, label in zip(lp.objective, lp.labels)), point
 
 
-def _commitment_lps(monkeypatch, profile, params):
-    """The LPs verify_spe solves for the closed-form commitment."""
-    captured = []
-    solve = oracle.simplex_solve
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "simplex_solve", lambda lp: captured.append(lp) or solve(lp))
-        spe = solve_spe(profile, params)
-        verify_spe(profile, params, spe.effort, spe.defender_utility)
-    return captured
+def _commitment_lps(profile, params):
+    """The n + 1 LPs of the multiple-LPs method, written out from their
+    definition, as (constant, LP) pairs: the LP's value plus the constant is
+    the best defender utility with that attacker response a best one.
+
+    The variables are the efforts rho_f in [0, 1] on the n vulnerable
+    facilities, with g = C - C0. Abstaining first, then attacking each
+    vulnerable facility in profile order."""
+    c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
+    vulnerable = [(fac, ce) for fac, ce in profile.facilities if ce - ca > c0]
+    n = len(vulnerable)
+    gains = [ce - c0 for _, ce in vulnerable]
+    labels = tuple(f"rho_{fac}" for fac, _ in vulnerable)
+
+    def unit(k, coef):
+        out = [0.0] * n
+        out[k] = coef
+        return out
+
+    def program(objective, rows, rhs):
+        return LinearProgram(
+            tuple(objective), tuple(map(tuple, rows)), tuple(rhs), (), (), ((0.0, 1.0),) * n, labels
+        )
+
+    # Abstaining is a best response iff rho_f (C_f - C0) >= C_f - C0 - ca for all f.
+    out = [(-c0, program([-cd] * n, [unit(f, -g) for f, g in enumerate(gains)], [ca - g for g in gains]))]
+    for e, (_, ce) in enumerate(vulnerable):
+        # Attacking e is one iff it pays at least attacking any other f, and abstaining.
+        rows, rhs = [], []
+        for f, (_, cf) in enumerate(vulnerable):
+            if f != e:
+                rows.append(unit(e, gains[e]))
+                rows[-1][f] = -gains[f]
+                rhs.append(ce - cf)
+        rows.append(unit(e, gains[e]))
+        rhs.append(gains[e] - ca)
+        out.append((-ce, program([x - cd for x in unit(e, gains[e])], rows, rhs)))
+    return out
 
 
-def test_final_basis_resolves_exactly(profile3, monkeypatch):
+def test_final_basis_resolves_exactly(profile3):
     """Rational re-solve of the reported basis reproduces the float answer."""
     params = CostParams(0.5, 0.3)
     game = build_attacker_lp(profile3, params)
-    commitment = _commitment_lps(monkeypatch, profile3, params)
+    commitment = [program for _, program in _commitment_lps(profile3, params)]
     # No commitment LP holds an effort at 1: each vulnerable rho_f stays below
     # 1 - ca / (C_f - C0). Reversing the abstention LP's objective pushes every
     # rho_f to its upper bound, where the solver flips it.
@@ -240,19 +270,29 @@ def _highs(linprog, program):
     return status, (-res.fun if status == "optimal" else None)
 
 
-def test_simplex_agrees_with_highs(monkeypatch):
-    """Same status as HiGHS, and values within 2e-9 relative, on random LPs and
-    on the commitment and attacker LPs of random games, some of them 1e-9
-    relative from a band constant."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def _highs_pool():
+    """The random LPs and the random games of the HiGHS comparison; every
+    second game sits 1e-9 relative above one of its band constants."""
     rng = np.random.default_rng(3)
     programs = [_random_lp(rng) for _ in range(300)]
+    games = []
     for k in range(30):
         profile, params = random_game(rng)
         if k % 2:
             band = float(rng.choice(partition_by_cost(profile).bands))
             params = CostParams(params.attack_cost, band * (1.0 + 1e-9))
-        programs += _commitment_lps(monkeypatch, profile, params)
+        games.append((profile, params))
+    return programs, games
+
+
+def test_simplex_agrees_with_highs():
+    """Same status as HiGHS, and values within 2e-9 relative, on random LPs and
+    on the commitment and attacker LPs of random games, some of them 1e-9
+    relative from a band constant."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    programs, games = _highs_pool()
+    for profile, params in games:
+        programs += [program for _, program in _commitment_lps(profile, params)]
         programs.append(build_attacker_lp(profile, params))
     statuses = Counter()
     for program in filter(lambda p: p.objective, programs):  # HiGHS takes no empty LP
@@ -263,6 +303,49 @@ def test_simplex_agrees_with_highs(monkeypatch):
         if value is not None:
             assert abs(sol.value - value) <= 2e-9 * max(1.0, abs(value)), program
     assert min(statuses.values()) >= 50 and len(statuses) == 3, statuses
+
+
+def _commitment_games():
+    """The HiGHS comparison's games; random games with cd 1e-9 relative above
+    each band constant; tied integer costs; no vulnerable facility; and 50
+    facilities."""
+    games = _highs_pool()[1]
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        profile, params = random_game(rng)
+        games += [(profile, CostParams(params.attack_cost, band * (1.0 + 1e-9)))
+                  for band in partition_by_cost(profile).bands]
+    tied_costs = [15.0, 15.0, 13.0, 13.0, 13.0, 12.0, 9.0]
+    tied = FacilityProfile(10.0, tuple((f"f{t}", c) for t, c in enumerate(tied_costs)))
+    games += [(tied, CostParams(ca, cd)) for ca in (0.5, 1.0, 2.0, 3.0, 4.5) for cd in (0.05, 0.4, 1.0, 3.0)]
+    games.append((tied, CostParams(5.0, 0.3)))  # 15 - 5 = C0: nothing is vulnerable
+    many = FacilityProfile(10.0, tuple((f"f{i}", 15.0 + i + 0.5 * (i % 3)) for i in range(50)))
+    games += [(many, CostParams(1.0, cd)) for cd in (0.4, 1.3, 3.0, 40.0)]
+    return games
+
+
+def test_commitment_values_agree_with_simplex_and_highs():
+    """verify_spe's LP values, read at the kinks, equal the n + 1 LPs'
+    optima under simplex_solve and under HiGHS within 2e-9 relative."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    checked = Counter()
+    for profile, params in _commitment_games():
+        lps = _commitment_lps(profile, params)
+        c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
+        values = oracle._commitment_values(c0, ca, cd, [ce for _, ce in profile.facilities if ce - ca > c0])
+        assert len(values) == len(lps)
+        for value, (constant, program) in zip(values, lps):
+            sol = simplex_solve(program)
+            assert sol.status == "optimal"
+            references = [constant + sol.value]
+            if program.objective:  # HiGHS takes no empty LP
+                status, highs = _highs(linprog, program)
+                assert status == "optimal"
+                references.append(constant + highs)
+            for reference in references:
+                assert abs(value - reference) <= 2e-9 * max(1.0, abs(reference)), (profile, params)
+            checked[len(references)] += 1
+    assert checked[1] >= 1 and checked[2] >= 400, checked
 
 
 def test_attacker_best_response_enum(profile3):
@@ -385,6 +468,21 @@ def test_verify_spe_accepts_the_optimum_with_ten_vulnerable_facilities(cd):
 def test_verify_spe_accepts_the_optimum_with_many_vulnerable_facilities(cd, n):
     """The ten-facility case at 30 and 50: a slowdown or cycling at scale shows here."""
     _accepts_the_optimum_with_vulnerable_facilities(n, cd)
+
+
+def test_oracles_accept_the_closed_forms_at_200_facilities():
+    """Both checks are near-linear in the facility count: at 200 facilities
+    they take milliseconds, where n + 1 dense LPs took seconds."""
+    costs = np.random.default_rng(200).uniform(12.0, 18.0, size=200)
+    profile = FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs)))
+    params = CostParams(1.0, 0.05)
+    ne, spe = solve_ne(profile, params), solve_spe(profile, params)
+    start = time.process_time()
+    ne_res = verify_ne(profile, params, ne.effort, ne.attack)
+    spe_res = verify_spe(profile, params, spe.effort, spe.defender_utility)
+    elapsed = time.process_time() - start
+    assert ne_res.ok and spe_res.ok, (ne_res.failures, spe_res.failures)
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("ca", [0.2, 0.7, 1.7, 2.5])
