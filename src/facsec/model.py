@@ -118,11 +118,8 @@ class FacilityProfile:
             raise ModelError("baseline cost must be positive")
         if not self.facilities:
             raise ModelError("at least one facility is required")
-        seen = set()
+        _reject_repeated_ids(self.facilities)
         for fac, cost in self.facilities:
-            if fac in seen:
-                raise ModelError(f"duplicate facility id {fac!r}")
-            seen.add(fac)
             if not cost > 0:
                 raise ModelError(f"post-attack cost of {fac!r} must be positive")
 
@@ -380,6 +377,14 @@ def vulnerable_set(profile: FacilityProfile, attack_cost: float) -> tuple[Facili
     )
 
 
+def _reject_repeated_ids(pairs: tuple[tuple[FacilityId, float], ...]) -> None:
+    seen = set()
+    for fac, _ in pairs:
+        if fac in seen:
+            raise ModelError(f"duplicate facility id {fac!r}")
+        seen.add(fac)
+
+
 def _validated_unit(value: float, what: str) -> float:
     if value < -PROB_SLACK or value > 1.0 + PROB_SLACK:
         raise ModelError(f"{what} {value!r} outside [0, 1]")
@@ -396,6 +401,7 @@ class EffortVector:
         cleaned = tuple(
             (fac, _validated_unit(v, f"effort on {fac!r}")) for fac, v in self.efforts
         )
+        _reject_repeated_ids(cleaned)
         object.__setattr__(self, "efforts", cleaned)
 
     @classmethod
@@ -434,6 +440,7 @@ class AttackDistribution:
         cleaned = tuple(
             (fac, _validated_unit(p, f"attack prob on {fac!r}")) for fac, p in self.facility_probs
         )
+        _reject_repeated_ids(cleaned)
         object.__setattr__(self, "facility_probs", cleaned)
         object.__setattr__(self, "no_attack", _validated_unit(self.no_attack, "no-attack prob"))
         total = sum(p for _, p in cleaned) + self.no_attack

@@ -172,22 +172,23 @@ def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibr
     Raises BoundaryParameters when the classification lands on a boundary; the
     oracle LP still solves those points.
     """
-    regime = classify_regime_ne(profile, params)
+    ca, cd = params.attack_cost, params.defense_cost
+    partition = partition_by_cost(profile)
+    regime = NeRegime.at(partition.locate(ca, cd))
     if regime.kind is RegimeKind.BOUNDARY:
         raise BoundaryParameters.at(params)
-    partition = partition_by_cost(profile)
     if regime.kind is RegimeKind.TYPE_I:
         # every deterred level is attacked at its break-even probability
         attack = {
-            fac: params.defense_cost / partition.edges[k]
+            fac: cd / partition.edges[k]
             for k in range(regime.index)
             for fac in partition.levels[k].members
         }
-        eff = _deter(profile, partition, params.attack_cost, regime.index)
+        eff = _deter(profile, partition, ca, regime.index)
         dist = AttackDistribution.over(profile, attack)
     else:
-        eff, dist = _concede(profile, partition, params.defense_cost, regime.index)
-    ud, ua = ne_utilities(profile, params, regime)
+        eff, dist = _concede(profile, partition, cd, regime.index)
+    ud, ua = _ne_utilities(partition, ca, cd, regime)
     return NormalFormEquilibrium(regime, eff, dist, ud, ua)
 
 

@@ -1,9 +1,9 @@
 """Independent checking machinery: a small LP solver and equilibrium verifiers.
 
-Everything here is deliberately first-principles — enumeration, a two-phase
-bounded-variable simplex, and one LP per attacker response for commitment,
-each maximized by its kinks in one variable — so it can serve as an oracle
-against the closed-form solvers without sharing their formulas.
+Everything here is deliberately first-principles — enumeration, a textbook
+two-phase simplex, and one LP per attacker response for commitment, each
+maximized by its kinks in one variable — so it can serve as an oracle against
+the closed-form solvers without sharing their formulas.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import (
     FacilityProfile,
 )
 
-_MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases; a flip counts as one
+_MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases
 
 
 class SimplexIterationLimit(RuntimeError):
@@ -64,22 +64,22 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class StandardForm:
-    """Equality-form rewrite of a LinearProgram over bounded columns.
+    """Equality-form rewrite of a LinearProgram over nonnegative columns.
 
-    The problem is min c.x s.t. rows x = rhs, 0 <= x <= upper (``math.inf``
-    for no upper bound). Columns are the shifted, reflected or split original
-    variables followed by one slack per inequality row. Original variable j is
-    recovered as offset_j + sum(coef * x[col]) over recover[j]; this mapping
-    is exact. A solution's ``basis`` and ``at_upper`` fix its point: holding
-    the ``at_upper`` columns at their upper bounds and the other nonbasic
-    columns at 0, a rational re-solve of the basis columns reproduces the
-    solver's answer up to the final float rounding.
+    The problem is min c.x s.t. rows x = rhs, x >= 0. The rows are the LP's
+    inequality rows, then one row x_j <= hi_j for each variable with both
+    bounds finite, then the LP's equality rows. Columns are the shifted,
+    reflected or split original variables followed by one slack per
+    inequality row. Original variable j is recovered as offset_j +
+    sum(coef * x[col]) over recover[j]; this mapping is exact. A solution's
+    ``basis`` fixes its point: holding the nonbasic columns at 0, a rational
+    re-solve of the basis columns reproduces the solver's answer up to the
+    final float rounding.
     """
 
     c: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    upper: np.ndarray
     recover: tuple[tuple[float, tuple[tuple[int, float], ...]], ...]
 
 
@@ -87,49 +87,47 @@ class StandardForm:
 class LpSolution:
     """``basis`` lists the basic standardized column of each row; an entry
     len(StandardForm.c) + i is row i's artificial, which a feasible answer
-    holds at 0. ``at_upper`` lists the nonbasic columns at their upper bound."""
+    holds at 0."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[float]
     assignment: Optional[dict[str, float]]
     basis: tuple[int, ...] = ()
-    at_upper: tuple[int, ...] = ()
 
 
 def standard_form(lp: LinearProgram) -> StandardForm:
-    """Rewrite as min c.x, A x = b, 0 <= x <= upper (lower bounds shifted,
-    an upper-only variable reflected, free variables split, slacks added)."""
+    """Rewrite as min c.x, A x = b, x >= 0 (a finite upper bound beside a finite
+    lower one becomes a row, lower bounds are shifted, an upper-only variable
+    reflected, free variables split, slacks added)."""
     source: list[int] = []  # original variable of each column
     sign: list[float] = []
-    upper: list[float] = []
     offsets: list[float] = []
     recover = []
     for j, (lo, hi) in enumerate(lp.bounds):
         col = len(source)
-        if lo is not None:  # x = lo + x', x' <= hi - lo
+        if lo is not None:  # x = lo + x'
             source.append(j)
             sign.append(1.0)
-            upper.append(math.inf if hi is None else hi - lo)
             offsets.append(lo)
             recover.append((lo, ((col, 1.0),)))
         elif hi is not None:  # x = hi - x'
             source.append(j)
             sign.append(-1.0)
-            upper.append(math.inf)
             offsets.append(hi)
             recover.append((hi, ((col, -1.0),)))
         else:  # free: x = x+ - x-
             source += [j, j]
             sign += [1.0, -1.0]
-            upper += [math.inf, math.inf]
             offsets.append(0.0)
             recover.append((0.0, ((col, 1.0), (col + 1, -1.0))))
 
     n, ncols = len(lp.objective), len(source)
-    m_ub, m = len(lp.a_ub), len(lp.a_ub) + len(lp.a_eq)
+    capped = [j for j, (lo, hi) in enumerate(lp.bounds) if lo is not None and hi is not None]
+    m_ub = len(lp.a_ub) + len(capped)
+    m = m_ub + len(lp.a_eq)
     width = ncols + m_ub
-    a = np.array((*lp.a_ub, *lp.a_eq), dtype=float).reshape(m, n)
-    b = np.array((*lp.b_ub, *lp.b_eq), dtype=float)
+    a = np.array((*lp.a_ub, *np.eye(n)[capped], *lp.a_eq), dtype=float).reshape(m, n)
+    b = np.array((*lp.b_ub, *(lp.bounds[j][1] for j in capped), *lp.b_eq), dtype=float)
     objective = np.array(lp.objective, dtype=float)
     if any(offsets):
         b -= a @ np.array(offsets)
@@ -141,36 +139,26 @@ def standard_form(lp: LinearProgram) -> StandardForm:
     rows.ravel()[ncols : m_ub * (width + 1) : width + 1] = 1.0  # slack i at (i, ncols + i)
     c = np.zeros(width)
     c[:ncols] = -objective  # minimize the negated objective
-    upper += [math.inf] * m_ub
-    return StandardForm(c, rows, b, np.array(upper), tuple(recover))
+    return StandardForm(c, rows, b, tuple(recover))
 
 
 class _Tableau:
-    """A bounded-variable simplex tableau (Dantzig 1955; Chvatal, *Linear
-    Programming*, 1983, ch. 8).
+    """A two-phase simplex tableau (Dantzig 1951; Chvatal, *Linear
+    Programming*, 1983, ch. 2-3).
 
     ``tab`` holds the m rows, then the reduced costs of the objective and,
     while phase 1 runs, of the sum of the artificials; its last column holds
     the basic values and minus each objective value. Nonbasic columns sit at
-    0. A ``flipped`` column j stands for upper_j - x_j: flipping negates the
-    column and moves upper_j times it into the right-hand side. Artificials
-    have no column: row i's is basis entry width + i, and once it leaves the
-    basis it never re-enters.
+    0. Artificials have no column: row i's is basis entry width + i, and once
+    it leaves the basis it never re-enters. ``held`` marks the rows whose
+    artificial is still basic after phase 1; phase 2 holds it at 0.
     """
 
-    def __init__(self, tab: np.ndarray, basis: np.ndarray, upper: np.ndarray) -> None:
+    def __init__(self, tab: np.ndarray, basis: np.ndarray) -> None:
         self.tab = tab
         self.basis = basis
-        self.upper = upper
-        self.basic_upper = np.full(len(basis), math.inf)  # of the starting slacks and artificials
-        self.flipped = np.zeros(len(upper), dtype=bool)
+        self.held = np.zeros(len(basis), dtype=bool)
         self.steps_left = _MAX_PIVOTS
-
-    def flip(self, col: int) -> None:
-        column = self.tab[:, col]
-        self.tab[:, -1] -= self.upper[col] * column
-        column *= -1.0
-        self.flipped[col] = not self.flipped[col]
 
     def pivot(self, row: int, col: int) -> None:
         """Rank-1 update of the rows with a nonzero entry in ``col``."""
@@ -181,22 +169,22 @@ class _Tableau:
         tab[hit] -= np.multiply.outer(column[hit], prow)
         tab[row] = prow
         self.basis[row] = col
-        self.basic_upper[row] = self.upper[col]
+        self.held[row] = False
 
     def run(self, objective: int) -> str:
         """Bland-rule iterations on row ``objective`` until optimal or unbounded.
 
         The entering column is the lowest-index one with a negative reduced
-        cost. Its step is the exact minimum of three limits: a basic value
-        reaching 0, a basic value reaching its upper bound, and the entering
-        column reaching its own, which flips it without a pivot. Bland's rule
-        (smallest column index) breaks exact ties only. Treating near-minimal
-        ratios as ties could pivot on a row that is not the minimum and leave
-        the basis slightly infeasible.
+        cost. The leaving row has the exact minimum ratio of basic value to
+        entering entry, over the rows where that entry is positive and the
+        held rows where it is negative, whose artificial would otherwise rise
+        above 0. Bland's rule (smallest basic column index) breaks exact ties
+        only. Treating near-minimal ratios as ties could pivot on a row that
+        is not the minimum and leave the basis slightly infeasible.
         """
-        tab, basis, basic_upper = self.tab, self.basis, self.basic_upper
-        m, width = len(basis), len(self.upper)
-        cost, rhs = tab[objective, :width], tab[:m, -1]
+        tab, basis, held = self.tab, self.basis, self.held
+        m = len(basis)
+        cost, rhs = tab[objective, :-1], tab[:m, -1]
         ratio = np.empty(m + 1)  # ratio[m] stays inf: the step of an LP without rows
         while True:
             if self.steps_left <= 0:
@@ -208,48 +196,29 @@ class _Tableau:
             entering = improving[0]
             a = tab[:m, entering]
             ratio.fill(math.inf)
-            np.divide(rhs, a, out=ratio[:m], where=a > PIVOT_TOL)
-            np.divide(rhs - basic_upper, a, out=ratio[:m], where=a < -PIVOT_TOL)
+            np.divide(rhs, a, out=ratio[:m], where=(a > PIVOT_TOL) | (held & (a < -PIVOT_TOL)))
             leaving = ratio.argmin()
-            step, own = ratio[leaving], self.upper[entering]
-            if own < step:
-                self.flip(entering)
-                continue
+            step = ratio[leaving]
             if step == math.inf:
                 return "unbounded"
             ties = (ratio == step).nonzero()[0]
             if len(ties) > 1:
                 leaving = ties[basis[ties].argmin()]
-            if own == step and entering < basis[leaving]:
-                self.flip(entering)
-                continue
-            if a[leaving] < 0.0:
-                # It leaves at its upper bound: flip it while basic, when its
-                # column is the unit vector of its row.
-                out = basis[leaving]
-                rhs[leaving] -= basic_upper[leaving]
-                if out < width:
-                    tab[leaving, out] = -1.0
-                    self.flipped[out] = not self.flipped[out]
             self.pivot(leaving, entering)
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Solve a LinearProgram with a two-phase bounded-variable simplex.
+    """Solve a LinearProgram with a two-phase simplex.
 
-    Bounds stay bounds. A ``<=`` row with a nonnegative right-hand side starts
-    with its slack basic and every other row with an artificial, so phase 1
-    runs only if some row needs one. Returns an LpSolution whose status is
-    "optimal", "infeasible" or "unbounded"; raises SimplexIterationLimit if
-    the pivot budget runs out. The final basis and the nonbasic columns at
-    their upper bound are reported for independent re-solving.
+    A ``<=`` row with a nonnegative right-hand side starts with its slack
+    basic and every other row with an artificial, so phase 1 runs only if
+    some row needs one. Returns an LpSolution whose status is "optimal",
+    "infeasible" or "unbounded"; raises SimplexIterationLimit if the pivot
+    budget runs out. The final basis is reported for independent re-solving.
     """
     sf = standard_form(lp)
-    upper = sf.upper
-    if np.count_nonzero(upper < 0.0):  # an upper bound below its lower bound
-        return LpSolution("infeasible", None, None)
     m, width = sf.rows.shape
-    m_ub = len(lp.a_ub)
+    m_ub = m - len(lp.a_eq)
     tab = np.zeros((m + 2, width + 1))
     tab[:m, :width] = sf.rows
     tab[:m, -1] = sf.rhs
@@ -258,29 +227,21 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     tab[artificial.nonzero()[0]] *= -1.0
     artificial[m_ub:] = True
     basis = np.arange(width - m_ub, width - m_ub + m) + m_ub * artificial
-    t = _Tableau(tab, basis, upper)
+    t = _Tableau(tab, basis)
     if np.count_nonzero(artificial):
         # Phase 1 minimizes the sum of the artificials.
         tab[m + 1] = -tab[artificial.nonzero()[0]].sum(axis=0)
         t.run(m + 1)
         if tab[m + 1, -1] < -PHASE1_TOL:
             return LpSolution("infeasible", None, None)
-        t.basic_upper[basis >= width] = 0.0  # an artificial left in the basis stays at 0
+        t.held = basis >= width
     t.tab = tab[: m + 1]  # phase 2 drops the phase-1 row
     if t.run(m) == "unbounded":
         return LpSolution("unbounded", None, None)
 
     x_std = np.zeros(width + m)  # the columns, then a slot per row for its artificial
     x_std[basis] = tab[:m, -1]
-    x_std = x_std[:width]
-    flipped = t.flipped
-    at_upper = ()
-    if np.count_nonzero(flipped):
-        x_std[flipped] = upper[flipped] - x_std[flipped]
-        nonbasic = flipped.copy()
-        nonbasic[basis[basis < width]] = False
-        at_upper = tuple(nonbasic.nonzero()[0].tolist())
-    x_std = x_std.tolist()
+    x_std = x_std[:width].tolist()
     assignment = {}
     value = 0.0
     for j, label in enumerate(lp.labels):
@@ -288,7 +249,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         xj = offset + sum(coef * x_std[col] for col, coef in terms)
         assignment[label] = xj
         value += lp.objective[j] * xj
-    return LpSolution("optimal", value, assignment, tuple(basis.tolist()), at_upper)
+    return LpSolution("optimal", value, assignment, tuple(basis.tolist()))
 
 
 # ---------------------------------------------------------------------------

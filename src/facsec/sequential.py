@@ -160,15 +160,16 @@ def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:
     against which the attacker mixes over the top j cost levels with total
     probability one. Raises BoundaryParameters on regime boundaries.
     """
-    regime = classify_regime_spe(profile, params)
+    ca, cd = params.attack_cost, params.defense_cost
+    partition = partition_by_cost(profile)
+    regime = SpeRegime.at(partition.locate(ca, cd))
     if regime.kind is SpeRegimeKind.BOUNDARY:
         raise BoundaryParameters.at(params)
-    partition = partition_by_cost(profile)
     if regime.kind is SpeRegimeKind.TYPE_I:
-        eff = _deter(profile, partition, params.attack_cost, regime.index)
+        eff = _deter(profile, partition, ca, regime.index)
         on_path = OnPathAttack(True, (), AttackDistribution.over(profile, {}))
     else:
-        eff, witness = _concede(profile, partition, params.defense_cost, regime.index)
+        eff, witness = _concede(profile, partition, cd, regime.index)
         on_path = OnPathAttack(False, partition.members_up_to(regime.index), witness)
-    ud, ua = spe_utilities(profile, params, regime)
+    ud, ua = _spe_utilities(partition, ca, cd, regime)
     return SpeOutcome(regime, eff, on_path, ud, ua)

@@ -73,6 +73,15 @@ def test_effort_vector_basics(profile3):
         EffortVector.over(profile3, {"e1": 1.5})
 
 
+def test_effort_and_attack_reject_a_repeated_id():
+    """One entry per facility, as in a profile: otherwise ``get`` and ``prob``
+    would read one entry while ``total`` and the attack mass count both."""
+    with pytest.raises(ModelError, match="duplicate facility id 'e1'"):
+        EffortVector((("e1", 0.1), ("e1", 0.9)))
+    with pytest.raises(ModelError, match="duplicate facility id 'e1'"):
+        AttackDistribution((("e1", 0.1), ("e2", 0.2), ("e1", 0.3)), 0.4)
+
+
 def test_attack_distribution_residual_and_support(profile3):
     atk = AttackDistribution.over(profile3, {"e1": 0.2, "e3": 0.3})
     assert atk.no_attack == pytest.approx(0.5)

@@ -69,6 +69,16 @@ def test_simplex_respects_shifted_bounds():
     sol = simplex_solve(lp([-1.0], bounds=[(2.0, 5.0)]))
     assert sol.status == "optimal"
     assert sol.value == pytest.approx(-2.0)
+    # max x with x in [2, 5], then with x fixed at 2
+    assert simplex_solve(lp([1.0], bounds=[(2.0, 5.0)])).value == pytest.approx(5.0)
+    for objective in (1.0, -1.0):
+        fixed = simplex_solve(lp([objective], bounds=[(2.0, 2.0)]))
+        assert fixed.status == "optimal"
+        assert fixed.assignment["x0"] == pytest.approx(2.0)
+    # inverted bounds leave nothing feasible
+    inverted = simplex_solve(lp([1.0], bounds=[(2.0, 1.0)]))
+    assert inverted.status == "infeasible"
+    assert inverted.value is None
 
 
 def test_simplex_detects_infeasible():
@@ -111,16 +121,13 @@ def _exact_gauss(a, b):
 
 
 def _exact_point(lp, sol):
-    """Rational re-solve of a reported basis: the ``at_upper`` columns sit at
-    their upper bounds, the other nonbasic columns at 0, and an artificial
-    (basis entry width + i) is the unit column of row i."""
+    """Rational re-solve of a reported basis: the nonbasic columns sit at 0,
+    and an artificial (basis entry width + i) is the unit column of row i."""
     sf = standard_form(lp)
     nrows, width = sf.rows.shape
-    x = {col: Fraction(sf.upper[col]) for col in sol.at_upper}
     a = [[Fraction(sf.rows[r][c]) if c < width else Fraction(c - width == r) for c in sol.basis]
          for r in range(nrows)]
-    b = [Fraction(sf.rhs[r]) - sum(Fraction(sf.rows[r][c]) * u for c, u in x.items()) for r in range(nrows)]
-    x.update(zip(sol.basis, _exact_gauss(a, b)))
+    x = dict(zip(sol.basis, _exact_gauss(a, [Fraction(v) for v in sf.rhs])))
     point = {
         label: Fraction(offset) + sum(Fraction(coef) * x.get(col, Fraction(0)) for col, coef in combo)
         for label, (offset, combo) in zip(lp.labels, sf.recover)
@@ -175,7 +182,7 @@ def test_final_basis_resolves_exactly(profile3):
     commitment = [program for _, program in _commitment_lps(profile3, params)]
     # No commitment LP holds an effort at 1: each vulnerable rho_f stays below
     # 1 - ca / (C_f - C0). Reversing the abstention LP's objective pushes every
-    # rho_f to its upper bound, where the solver flips it.
+    # rho_f to its upper bound, where the slack of its row rho_f <= 1 is nonbasic.
     abstain = commitment[0]
     all_out = LinearProgram(tuple(-c for c in abstain.objective), *astuple(abstain)[1:])
     for program in (game, *commitment, all_out):
@@ -187,13 +194,19 @@ def test_final_basis_resolves_exactly(profile3):
         for label, exact in point.items():
             assert sol.assignment[label] == pytest.approx(float(exact), abs=1e-9)
     top = simplex_solve(all_out)
-    assert top.at_upper and set(top.assignment.values()) == {1.0}
+    assert set(top.assignment.values()) == {1.0}
 
-    # Random LPs with mixed bounds; some end with an artificial in the basis.
+    # Random LPs with mixed bounds; some end with a variable at an upper bound
+    # strictly above its lower one, some with an artificial in the basis.
     rng = np.random.default_rng(8)
     solved = [(program, simplex_solve(program)) for program in (_random_lp(rng) for _ in range(300))]
     optimal = [(program, sol) for program, sol in solved if sol.status == "optimal"]
-    assert any(sol.at_upper for _, sol in optimal)
+    assert any(
+        sol.assignment[label] == pytest.approx(hi)
+        for program, sol in optimal
+        for label, (lo, hi) in zip(program.labels, program.bounds)
+        if lo is not None and hi is not None and lo < hi
+    )
     assert any(max(sol.basis, default=-1) >= len(standard_form(program).c) for program, sol in optimal)
     for program, sol in optimal:
         exact_value, point = _exact_point(program, sol)
@@ -226,27 +239,49 @@ def _random_lp(rng):
 
 
 def test_simplex_steps_keep_every_basic_value_within_its_bounds(monkeypatch):
-    """After every pivot and bound flip, in both phases, each basic value lies
-    in [0, its upper bound]. A final answer can hide a wrong step: skipping
-    the flip of a variable that leaves at its upper bound still ends at the
-    optimum on these LPs, by way of infeasible bases."""
-    steps = [0]
+    """After every pivot, in both phases, each basic value is at least 0 and
+    each artificial that phase 1 left basic is at 0. A final answer can hide
+    a wrong step: a ratio test that lets a held artificial rise still ends at
+    an optimum of its own, by way of infeasible bases."""
+    steps, held = [0], [0]
+    pivot = oracle._Tableau.pivot
 
-    def checked(step):
-        def run(t, *args):
-            step(t, *args)
-            values = t.tab[: len(t.basis), -1]
-            slack = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
-            assert (values >= -slack).all() and (values <= t.basic_upper + slack).all()
-            steps[0] += 1
-        return run
+    def checked(t, *args):
+        pivot(t, *args)
+        values = t.tab[: len(t.basis), -1]
+        slack = 1e-9 * max(1.0, float(np.abs(values).max(initial=0.0)))
+        assert (values >= -slack).all() and (values[t.held] <= slack).all()
+        steps[0] += 1
+        held[0] += int(t.held.any())
 
-    monkeypatch.setattr(oracle._Tableau, "pivot", checked(oracle._Tableau.pivot))
-    monkeypatch.setattr(oracle._Tableau, "flip", checked(oracle._Tableau.flip))
+    monkeypatch.setattr(oracle._Tableau, "pivot", checked)
     rng = np.random.default_rng(5)
     for _ in range(300):
         simplex_solve(_random_lp(rng))
-    assert steps[0] > 500
+    assert steps[0] > 500 and held[0] > 0, (steps, held)
+
+
+@pytest.mark.parametrize(
+    "ca, cd, pivots", [(0.5, 0.3, [1, 7]), (2.5, 0.3, [1, 5]), (0.5, 3.0, [1, 5])]
+)
+def test_attacker_lp_pivots_per_phase(monkeypatch, profile3, ca, cd, pivots):
+    """The three-facility attacker LP takes one phase-1 pivot, for its one
+    equality row, and a fixed number in phase 2."""
+    phases = []
+    run, pivot = oracle._Tableau.run, oracle._Tableau.pivot
+
+    def counted_run(t, objective):
+        phases.append(0)
+        return run(t, objective)
+
+    def counted_pivot(t, row, col):
+        phases[-1] += 1
+        pivot(t, row, col)
+
+    monkeypatch.setattr(oracle._Tableau, "run", counted_run)
+    monkeypatch.setattr(oracle._Tableau, "pivot", counted_pivot)
+    assert simplex_solve(build_attacker_lp(profile3, CostParams(ca, cd))).status == "optimal"
+    assert phases == pivots
 
 
 def _highs(linprog, program):
