@@ -11,13 +11,14 @@ output, with exit code 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Optional, Sequence
 
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
-from .model import CHECK_EPS, LP_AGREEMENT_TOL, EffortVector
+from .model import CHECK_EPS, LP_AGREEMENT_TOL, TIE_TOL, EffortVector, expected_utilities
 from .normalform import BoundaryParameters, build_attacker_lp, solve_ne
 from .oracle import LpSolution, SimplexIterationLimit, simplex_solve, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
@@ -152,6 +153,10 @@ def _cmd_regimes(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
+    if not 0.0 <= args.eps < math.inf:
+        raise _UsageError(f"bad --eps {args.eps!r}; expected a finite number at least 0")
+    if not math.isfinite(args.perturb):
+        raise _UsageError(f"bad --perturb {args.perturb!r}; expected a finite number")
     profile, params = scenario.profile, scenario.params
     lp_sol = simplex_solve(build_attacker_lp(profile, params))
     try:
@@ -188,11 +193,17 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
             f" -- {'ok' if good else 'FAILED'}"
         )
 
-    ne_res = verify_ne(profile, params, effort, ne.attack, eps=args.eps)
-    ok = ok and ne_res.ok
+    # best-response failures first, then the claimed (Ud, Ua) against their expected values
+    ne_failures = list(verify_ne(profile, params, effort, ne.attack, eps=args.eps).failures)
+    expected = expected_utilities(profile, params, effort, ne.attack)
+    slack = max(args.eps, TIE_TOL)
+    for name, claim, value in zip(("Ud", "Ua"), (ne.defender_utility, ne.attacker_utility), expected):
+        if not abs(claim - value) <= slack * max(1.0, abs(value)):
+            ne_failures.append(f"claimed {name} {claim!r} vs expected {value!r}")
+    ok = ok and not ne_failures
     lines.append(
         f"check ne: mutual best responses within {_fmt(args.eps)}"
-        f" -- {'ok' if ne_res.ok else 'FAILED -- ' + ne_res.failures[0]}"
+        f" -- {'FAILED -- ' + ne_failures[0] if ne_failures else 'ok'}"
     )
 
     spe_res = verify_spe(profile, params, spe.effort, claimed_spe_ud, eps=args.eps)

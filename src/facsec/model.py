@@ -39,7 +39,8 @@ PIVOT_TOL = 1e-9
 # abs: a phase-1 sum of artificials above this makes the LP infeasible.
 PHASE1_TOL = 1e-7
 # rel, scaled by max(1, |best|): attacker payoffs this close to the best one
-# are best responses; the oracles decide every attacker tie with it.
+# are best responses; the oracles decide every attacker tie with it. Also the
+# least slack of `facsec verify` between claimed and expected NE utilities.
 TIE_TOL = 1e-12
 # abs: default slack of verify_ne and verify_spe, and of `facsec verify --eps`.
 CHECK_EPS = 1e-9
@@ -386,7 +387,7 @@ def _reject_repeated_ids(pairs: tuple[tuple[FacilityId, float], ...]) -> None:
 
 
 def _validated_unit(value: float, what: str) -> float:
-    if value < -PROB_SLACK or value > 1.0 + PROB_SLACK:
+    if not -PROB_SLACK <= value <= 1.0 + PROB_SLACK:  # NaN fails too
         raise ModelError(f"{what} {value!r} outside [0, 1]")
     return min(1.0, max(0.0, value))
 

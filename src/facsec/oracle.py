@@ -307,18 +307,19 @@ def verify_ne(
     within eps of the best pure payoff against the effort vector. Defender
     side: the marginal value of effort on each facility, (C0-Ce)*sigma_e + cd,
     must have the sign its effort level dictates (>= 0 at zero effort, <= 0 at
-    full effort, ~ 0 in the interior).
+    full effort, ~ 0 in the interior). Every test is written so that a NaN,
+    in eps or in a payoff, fails it.
     """
     failures: list[str] = []
     table = attacker_best_response_enum(profile, params, effort)
     utilities = dict(table.utilities)
     support: list[Optional[FacilityId]] = [
-        fac for fac, _ in profile.facilities if attack.prob(fac) > eps
+        fac for fac, _ in profile.facilities if not attack.prob(fac) <= eps
     ]
-    if attack.no_attack > eps:
+    if not attack.no_attack <= eps:
         support.append(None)
     for action in support:
-        if utilities[action] < table.best_value - eps:
+        if not utilities[action] >= table.best_value - eps:
             name = action if action is not None else "no-attack"
             failures.append(
                 f"attacker: supported action {name} pays {utilities[action]!r}"
@@ -329,12 +330,12 @@ def verify_ne(
         rho = effort.get(fac)
         coef = (c0 - ce) * attack.prob(fac) + params.defense_cost
         if rho <= eps:
-            if coef < -eps:
+            if not coef >= -eps:
                 failures.append(f"defender: effort 0 on {fac} but raising it pays (coef {coef!r})")
         elif rho >= 1.0 - eps:
-            if coef > eps:
+            if not coef <= eps:
                 failures.append(f"defender: effort 1 on {fac} but lowering it pays (coef {coef!r})")
-        elif abs(coef) > eps:
+        elif not abs(coef) <= eps:
             failures.append(f"defender: interior effort on {fac} not indifferent (coef {coef!r})")
     return VerificationResult(not failures, tuple(failures))
 
@@ -395,14 +396,15 @@ def verify_spe(
     the maximum of phi(t) = -t - cd*sum_f max(0, (C_f - t)/g_f) over [C0 + ca, C_e],
     which is concave and piecewise linear, so it lies at C0 + ca or at a kink C_f.
     The claimed utility must (a) be attained by the claimed effort against a
-    best-responding attacker and (b) not be beaten by any LP by more than eps.
+    best-responding attacker and (b) not be beaten by any LP by more than eps;
+    a NaN claim or eps fails both.
     """
     c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
     vulnerable = [(fac, ce) for fac, ce in profile.facilities if ce - ca > c0]
     failures: list[str] = []
 
     attained = defender_utility_vs_br(profile, params, effort)
-    if attained < defender_utility - eps:
+    if not attained >= defender_utility - eps:
         failures.append(
             f"claimed utility {defender_utility!r} not attained by the claimed effort"
             f" (re-evaluates to {attained!r})"
@@ -411,7 +413,7 @@ def verify_spe(
     values = _commitment_values(c0, ca, cd, [ce for _, ce in vulnerable])
     responses = ["no-attack", *(f"attack {fac}" for fac, _ in vulnerable)]
     for response, value in zip(responses, values):
-        if value > defender_utility + eps:
+        if not value <= defender_utility + eps:
             failures.append(
                 f"committing to induce {response} beats the candidate:"
                 f" {value!r} > {defender_utility!r} + {eps!r}"

@@ -82,6 +82,18 @@ def test_effort_and_attack_reject_a_repeated_id():
         AttackDistribution((("e1", 0.1), ("e2", 0.2), ("e1", 0.3)), 0.4)
 
 
+def test_effort_and_attack_reject_nan(profile3):
+    """NaN compares false both ways, so a range test written as two "outside"
+    tests let it through, and clamping then turned it into 0."""
+    nan = float("nan")
+    with pytest.raises(ModelError, match="effort on 'e1' nan outside"):
+        EffortVector.over(profile3, {"e1": nan})
+    with pytest.raises(ModelError, match="attack prob on 'e1' nan outside"):
+        AttackDistribution.over(profile3, {"e1": nan, "e2": 1.0}, no_attack=0.0)
+    with pytest.raises(ModelError, match="no-attack prob nan outside"):
+        AttackDistribution.over(profile3, {"e1": 1.0}, no_attack=nan)
+
+
 def test_attack_distribution_residual_and_support(profile3):
     atk = AttackDistribution.over(profile3, {"e1": 0.2, "e3": 0.3})
     assert atk.no_attack == pytest.approx(0.5)

@@ -455,6 +455,20 @@ def test_verify_spe_rejects_inflated_and_dominated_claims(profile3):
     assert any("beat" in f for f in dominated.failures)
 
 
+def test_oracles_reject_a_nan_claim_or_tolerance(profile3):
+    params = CostParams(0.5, 0.3)
+    nan = float("nan")
+    eq = solve_ne(profile3, params)
+    assert not verify_ne(profile3, params, eq.effort, eq.attack, eps=nan).ok
+    spe = solve_spe(profile3, params)
+    assert verify_spe(profile3, params, spe.effort, spe.defender_utility).ok
+    claim = verify_spe(profile3, params, spe.effort, nan)
+    assert not claim.ok
+    assert any("not attained" in f for f in claim.failures)
+    assert any("beats the candidate" in f for f in claim.failures)
+    assert not verify_spe(profile3, params, spe.effort, spe.defender_utility, eps=nan).ok
+
+
 def lp_gap(profile, params):
     """|closed-form attacker LP value - simplex value|."""
     eq = solve_ne(profile, params)

@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from facsec import cli, scenario
 from facsec.cli import main
 from facsec.scenario import ScenarioError, load_scenario, parse_scenario
 
@@ -115,6 +118,60 @@ def test_cli_rejects_reserved_edge_ids(capsys, tmp_path, row, word):
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="No such file"):
         load_scenario(str(tmp_path / "absent.scn"))
+
+
+# Every section of a scenario, one line each; the grammar cases edit it.
+GRAMMAR_LINES = (
+    "[facilities]", "baseline_cost 5", "a 8",
+    "[costs]", "attack_cost 1", "defense_cost 1",
+    "[network]", "demand 4", "edge x 1 0 1 2", "route r x",
+    "[learning]", "noise_half_width 1", "horizon 5", "true_state none", "prior none 1",
+)
+SECTION_AT = {line[1:-1]: n for n, line in enumerate(GRAMMAR_LINES, start=1) if line.startswith("[")}
+USAGE = {
+    "facilities": "expected '<id> <cost>' or 'baseline_cost <cost>'",
+    "costs": "expected 'attack_cost <x>' or 'defense_cost <x>'",
+    "network": "expected 'demand <x>', 'edge <id> <4 coefficients>', or 'route <id> <edges...>'",
+    "learning": "expected 'noise_half_width <x>', 'horizon <n>', 'true_state <s>', or 'prior <state> <p>'",
+}
+ONCE = ("baseline_cost", "attack_cost", "defense_cost", "demand", "noise_half_width", "horizon", "true_state")
+REQUIRED = {"baseline_cost": "facilities", "attack_cost": "costs", "defense_cost": "costs",
+            "demand": "network", "noise_half_width": "learning"}
+
+
+def grammar_cases():
+    lines = list(GRAMMAR_LINES)
+    for name, at in SECTION_AT.items():  # a row no section accepts, right after the header
+        yield pytest.param(lines[:at] + ["bogus 1 2 3"] + lines[at:], f":{at + 1}: {USAGE[name]}",
+                           id=f"usage-{name}")
+    for key in ONCE:  # the setting given twice in a row
+        n = next(n for n, line in enumerate(lines) if line.split()[0] == key)
+        yield pytest.param(lines[:n + 1] + [lines[n]] + lines[n + 1:], f":{n + 2}: duplicate {key}",
+                           id=f"duplicate-{key}")
+    for key, name in REQUIRED.items():  # the setting left out: anchored at its section header
+        yield pytest.param([line for line in lines if line.split()[0] != key],
+                           f":{SECTION_AT[name]}: missing {key}", id=f"missing-{key}")
+    yield pytest.param(lines[3:], ": missing [facilities] section", id="missing-facilities")
+    yield pytest.param(lines[:3] + lines[6:], ": missing [costs] section", id="missing-costs")
+
+
+@pytest.mark.parametrize("lines, message", grammar_cases())
+def test_grammar_messages(lines, message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario("\n".join(lines) + "\n")
+    assert str(info.value) == "<scenario>" + message
+
+
+def test_module_docstring_example_parses():
+    example = textwrap.dedent(scenario.__doc__.split("Example::\n")[1])
+    scn = parse_scenario(example)
+    assert scn.network.route_ids == ("r1",)
+    assert scn.learning.horizon == 50 and scn.learning.true_state == "none"
+
+
+def test_readme_scenario_block_is_the_three_facility_scenario():
+    block = (REPO / "README.md").read_text().split("## Scenario format")[1].split("```\n")[1]
+    assert parse_scenario(block, "README.md") == load_scenario(str(THREE))
 
 
 # ---------------------------------------------------------------- cli
@@ -229,6 +286,31 @@ def test_cli_verify_catches_perturbations(capsys):
     assert "-- FAILED" in out
     # --eps is the tolerance of every check, the commitment check included
     code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--perturb", "0.02", "--eps", "1")
+    assert code == 0, out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "-1e-9"), ("--perturb", "nan"), ("--perturb", "-inf"),
+])
+def test_cli_verify_rejects_a_bad_tolerance_or_perturbation(capsys, flag, value):
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE), f"{flag}={value}")
+    assert code == 1
+    assert out.startswith(f"error: bad {flag} ")
+
+
+def test_cli_verify_checks_the_claimed_ne_utilities(capsys, monkeypatch):
+    solve_ne = cli.solve_ne
+
+    def wrong_ud(profile, params):
+        eq = solve_ne(profile, params)
+        return dataclasses.replace(eq, defender_utility=eq.defender_utility + 1e-6)
+
+    monkeypatch.setattr(cli, "solve_ne", wrong_ud)
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE))
+    assert code == 3
+    assert "check ne: mutual best responses within 1e-09 -- FAILED -- claimed Ud -17.8999" in out
+    assert "vs expected -17.9" in out
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--eps", "1e-6")
     assert code == 0, out
 
 
