@@ -85,14 +85,18 @@ Belief = StateDistribution
 
 def state_distribution(eq) -> StateDistribution:
     """Realized-state distribution induced by an equilibrium of either game:
-    p(e) = (attack prob on e) * (1 - effort on e), remainder on the intact state."""
+    p(e) = (attack prob on e) * (1 - effort on e), and the intact state the no-attack
+    mass plus every attack that meets a secured facility: a sum of nonnegative terms."""
     attack = getattr(eq, "attack", None)
     if attack is None:
         attack = eq.on_path.witness
     pairs: list[tuple[State, float]] = []
+    intact = attack.no_attack
     for fac, sig in attack.facility_probs:
-        pairs.append((fac, sig * (1.0 - eq.effort.get(fac))))
-    pairs.append((None, 1.0 - sum(p for _, p in pairs)))
+        rho = eq.effort.get(fac)
+        pairs.append((fac, sig * (1.0 - rho)))
+        intact += sig * rho
+    pairs.append((None, intact))
     return StateDistribution(tuple(pairs))
 
 

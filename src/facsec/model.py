@@ -211,13 +211,13 @@ class FacilityPartition:
 
     @cached_property
     def prefix_ratios(self) -> tuple[float, ...]:
-        """S_k, the prefix sums of E(k)/(C(k)-C0), one entry per level."""
-        return tuple(accumulate(size / edge for size, edge in zip(self.level_sizes, self.edges)))
+        """S_k, the prefix sums of E(k)/(C(k)-C0), from S_0 = 0."""
+        return (0.0, *accumulate(size / edge for size, edge in zip(self.level_sizes, self.edges)))
 
     @cached_property
     def bands(self) -> tuple[float, ...]:
         """Band constants 1/S_k, decreasing in k: the defense costs where regimes switch."""
-        return tuple(1.0 / s for s in self.prefix_ratios)
+        return tuple(1.0 / s for s in self.prefix_ratios[1:])
 
     @cached_property
     def prefix_sizes(self) -> tuple[int, ...]:
@@ -225,27 +225,45 @@ class FacilityPartition:
         return (0, *accumulate(self.level_sizes))
 
     @cached_property
+    def concession_spends(self) -> tuple[float, ...]:
+        """T_j = N_{j-1} - (C(j)-C0)*S_{j-1} from T_0 = T_1 = 0, what conceding down to
+        level j spends per unit of defense cost: effort (C(k)-C(j))/(C(k)-C0) on each
+        member of a level k < j. Summed from the steps (C(j-1)-C(j))*S_{j-1} >= 0."""
+        costs = self.level_costs
+        return (0.0, 0.0, *accumulate((a - b) * s for a, b, s in zip(costs, costs[1:], self.prefix_ratios[1:])))
+
+    @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Edges and bands for k = 1..K, then S_k (with S_0 = 0) and N_k for k = 0..K."""
-        columns = (self.edges, self.bands, (0.0, *self.prefix_ratios), self.prefix_sizes)
-        return tuple(np.array(column, dtype=float) for column in columns)
+        """Edges and bands for k = 1..K, S_k, N_k and T_k for k = 0..K, and what rounding
+        took off each edge, (C(k)-C0) - edges[k-1], exactly (Fast2Sum, as C(k) > C0)."""
+        columns = (self.edges, self.bands, self.prefix_ratios, self.prefix_sizes, self.concession_spends)
+        edges, *rest = (np.array(column, dtype=float) for column in columns)
+        return (edges, *rest, (np.array(self.level_costs) - edges) - self.baseline_cost)
 
     def bracket(self, attack_cost: float) -> int:
         """Number of levels whose cost increase beats the attack cost (the regime index i)."""
         return int(_count_above(self._arrays[0], attack_cost))
 
+    def deterrence_spend(self, ca, i):
+        """N_i - ca*S_i, what deterring levels 1..i spends per unit of defense cost: effort
+        1 - ca/(C(k)-C0) on each member of a level k <= i. On numbers, or on arrays
+        elementwise. Taken as T_i + (C(i)-C0-ca)*S_i, with C(i)-C0 unrounded, it keeps its
+        relative accuracy as ca nears C(i)-C0. At i = 0, S_0 = 0 voids the edge it reads."""
+        edges, _, ratios, _, spends, errors = self._arrays
+        spend = spends[i] + ((edges[i - 1] - ca) + errors[i - 1]) * ratios[i]
+        return spend if np.ndim(spend) else float(spend)
+
     def _curve(self, ca, i, j=None):
-        """Piece (i, j) of the threshold curve at ``ca``, as C(j)-C0 and a_ij - ca*S_i, where
-        a_ij = (C(j)-C0)*S_{j-1} + N_i - N_{j-1}; on numbers, or on arrays elementwise. By
-        default j is the piece that holds ca: it ends where t = N_i - ca*S_i falls to N_{j-1}.
-        Piece (1, 1) takes its denominator as N_1*(C(1)-C0-ca)/(C(1)-C0), which keeps its
-        relative accuracy where N_1 - ca*S_1 cancels, as ca nears C(1)-C0."""
-        edges, _, ratios, sizes = self._arrays
-        if j is None:
-            j = 1 + sizes[1:].searchsorted(sizes[i] - ca * ratios[i])
-        edge = edges[j - 1]
-        den = edge * ratios[j - 1] + (sizes[i] - sizes[j - 1]) - ca * ratios[i]
-        return edge, np.where((i == 1) & (j == 1), sizes[1] * ((edges[0] - ca) / edges[0]), den)
+        """Piece (i, j) of the threshold curve at ``ca``, as C(j)-C0 and the deterrence
+        spend minus the concession spend T_j, a_ij - ca*S_i with a_ij = (C(j)-C0)*S_{j-1}
+        + N_i - N_{j-1}: the curve is the defense cost at which deterring levels 1..i and
+        conceding down to level j tie. On numbers, or on arrays elementwise. By default
+        j is the piece that holds ca: it ends where the deterrence spend falls to N_{j-1}."""
+        edges, sizes, spends = self._arrays[0], self._arrays[3], self._arrays[4]
+        deter = self.deterrence_spend(ca, i)
+        if j is None:  # rounding may lift the spend above N_i at ca = 0
+            j = np.minimum(1 + sizes[1:].searchsorted(deter), i)
+        return edges[j - 1], deter - spends[j]
 
     def cd_ij(self, ca: float, i: int, j: Optional[int] = None) -> float:
         """Piece (i, j) at ``ca``, by default the piece that holds ca; raises
@@ -263,8 +281,9 @@ class FacilityPartition:
 
     def cd_tilde_inverse(self, cd: float) -> float:
         """The attack cost where the threshold curve, rising with ca, reaches ``cd`` >
-        cd_tilde(0): in the bracket i whose ends hold cd, on the piece 1 + #{bands above cd}."""
-        edges, bands, ratios, _ = self._arrays
+        cd_tilde(0): in the bracket i whose ends hold cd, on the piece 1 + #{bands above cd},
+        where the deterrence spend exceeds the concession spend T_j by (C(j)-C0)/cd."""
+        edges, bands, ratios = self._arrays[:3]
         i = 1 + bisect_left(range(1, self.K), -cd, key=lambda k: -self.cd_tilde(edges[k]))
         j = min(1 + int(_count_above(bands, cd)), i)
         edge, a = self._curve(0.0, i, j)  # the denominator at ca = 0 is a_ij

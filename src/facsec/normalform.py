@@ -136,12 +136,11 @@ def _concede(
 
 
 def _concession_utilities(partition: FacilityPartition, ca, cd, j: int):
-    """(defender, attacker) utilities of the outcome of ``_concede``; ``ca``
-    and ``cd`` are floats or arrays, as in ``_ne_utilities``."""
-    costs, sizes, edges = partition.level_costs, partition.level_sizes, partition.edges
-    cj = costs[j - 1]
-    ud = -cj - sum((costs[k] - cj) * cd * sizes[k] / edges[k] for k in range(j - 1))
-    return ud, cj - ca
+    """(defender, attacker) utilities of the outcome of ``_concede``: C(j) and
+    the concession spend T_j (``FacilityPartition.concession_spends``). ``ca`` and
+    ``cd`` are floats or arrays, as in ``_ne_utilities``."""
+    cj = partition.level_costs[j - 1]
+    return -cj - cd * partition.concession_spends[j], cj - ca
 
 
 def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
@@ -149,10 +148,11 @@ def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
 
     ``ca`` and ``cd`` are floats or arrays of equal shape. Every operation is
     elementwise, so each element of an array result has the float result's bits.
+    I-i reads N_i alone: Ud = -C0 - cd*N_i.
     """
     if regime.kind is RegimeKind.TYPE_I:
         c0 = partition.baseline_cost
-        return -c0 - cd * sum(partition.level_sizes[: regime.index or 0]), c0
+        return -c0 - cd * partition.prefix_sizes[regime.index], c0
     if regime.kind is RegimeKind.TYPE_II:
         return _concession_utilities(partition, ca, cd, regime.index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")

@@ -60,6 +60,8 @@ class Scenario:
 
 def _number(token: str, where: str) -> float:
     try:
+        if "_" in token:  # Python reads digit-group underscores; scenario files do not
+            raise ValueError(token)
         value = float(token)
     except ValueError:
         raise ScenarioError(f"{where}: not a number: {token!r}") from None
@@ -70,6 +72,8 @@ def _number(token: str, where: str) -> float:
 
 def _integer(token: str, where: str) -> int:
     try:
+        if "_" in token:
+            raise ValueError(token)
         return int(token, 10)
     except ValueError:
         raise ScenarioError(f"{where}: not an integer: {token!r}") from None

@@ -85,9 +85,9 @@ def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float
     """Defense cost at which deterring levels 1..i costs exactly as much as
     conceding an attack pinned down to level j.
 
-    Defined for 1 <= j <= i <= K as (C(j)-C0) / (a_ij - ca*S_i), with a_ij =
-    (C(j)-C0)*S_{j-1} + N_i - N_{j-1} read from the prefix sums S_k of E(k)/(C(k)-C0)
-    and N_k of E(k). Raises NonpositiveDenominator where it degenerates.
+    Defined for 1 <= j <= i <= K as (C(j)-C0) / (N_i - ca*S_i - T_j), from the prefix
+    sums S_k of E(k)/(C(k)-C0) and N_k of E(k), and T_j = N_{j-1} - (C(j)-C0)*S_{j-1}:
+    where -C0 - cd*(N_i - ca*S_i) and -C(j) - cd*T_j tie. Raises NonpositiveDenominator.
     """
     partition = partition_by_cost(profile)
     if not (1 <= j <= i <= partition.K):
@@ -111,10 +111,10 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
 def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     """Attack cost at which the threshold curve reaches ``defense_cost``.
 
-    On piece (i, j) the curve is (C(j)-C0) / (a_ij - ca*S_i) (see ``cd_ij``), so
-    ca = (a_ij - (C(j)-C0)/cd) / S_i, clipped to bracket i. Bisections find j, the
-    concession level, and i, the bracket whose ends hold cd, in O(log K) curve
-    values. Raises BelowRange below the curve's value at attack cost 0.
+    On piece (i, j), ca = (N_i - T_j - (C(j)-C0)/cd) / S_i (see ``cd_ij``), clipped to
+    bracket i. Bisections find j, the concession level, and i, the bracket whose
+    ends hold cd, in O(log K) curve values. Raises BelowRange below the curve's
+    value at attack cost 0.
     """
     partition = partition_by_cost(profile)
     base = partition.cd_tilde(0.0)
@@ -133,12 +133,11 @@ def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegi
 
 def _spe_utilities(partition: FacilityPartition, ca, cd, regime: SpeRegime):
     """Equilibrium-path (defender, attacker) utilities of a non-boundary regime
-    at (ca, cd), on floats or arrays as in ``normalform._ne_utilities``."""
+    at (ca, cd), on floats or arrays as in ``normalform._ne_utilities``. In
+    I~-i, Ud = -C0 - cd*(N_i - ca*S_i), the deterrence spend."""
     if regime.kind is SpeRegimeKind.TYPE_I:
-        c0, costs = partition.baseline_cost, partition.level_costs
-        sizes, edges = partition.level_sizes, partition.edges
-        spend = sum((costs[k] - ca - c0) / edges[k] * sizes[k] for k in range(regime.index or 0))
-        return -c0 - cd * spend, c0
+        c0 = partition.baseline_cost
+        return -c0 - cd * partition.deterrence_spend(ca, regime.index), c0
     if regime.kind is SpeRegimeKind.TYPE_II:
         return _concession_utilities(partition, ca, cd, regime.index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")

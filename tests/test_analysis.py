@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,12 +23,14 @@ from facsec.model import CostParams, FacilityProfile, partition_by_cost
 from facsec.normalform import (
     BoundaryParameters,
     NeRegime,
+    _ne_utilities,
     classify_regime_ne,
     ne_utilities,
     solve_ne,
 )
 from facsec.sequential import (
     SpeRegime,
+    _spe_utilities,
     cd_threshold_tilde,
     cd_tilde_inverse,
     classify_regime_spe,
@@ -325,6 +328,19 @@ def test_a_point_on_the_curve_next_to_its_pole_is_on_the_boundary(rel):
     assert partition.locate_grid(np.array([ca]), np.array([cd])).region[0, 0] == "boundary"
 
 
+@pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-8])
+def test_the_curve_next_to_its_pole_reads_the_unrounded_edge(rel):
+    # 20.3 - 1.1 rounds (by 1.3e-15), and a curve read from the rounded edge is off
+    # by about 1e-16*C(1)/(C(1)-C0-ca) relative, 7e-11 at rel = 1e-6: past BOUNDARY_TOL.
+    partition = partition_by_cost(FacilityProfile(1.1, (("e1", 20.3), ("e2", 9.0))))
+    edge = Fraction(20.3) - Fraction(1.1)
+    ca = float(edge * (1 - Fraction(rel)))
+    cd = float(edge / (1 - Fraction(ca) / edge))
+    assert partition.bracket(ca) == 1
+    assert partition.locate(ca, cd).region == "boundary"
+    assert partition.locate_grid(np.array([ca]), np.array([cd])).region[0, 0] == "boundary"
+
+
 def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
     # ranges (0, 2 n v) with n a power of two put the first midpoint exactly on v
     rng = np.random.default_rng(909)
@@ -352,9 +368,63 @@ def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
     assert hits >= 30
 
 
+def per_level_utilities(c0, levels, ca, cd, label):
+    """(defender, attacker) utilities of the regime ``label`` as the sums over
+    levels that define them, in exact arithmetic; ``levels`` holds (C(k), E(k))."""
+    kind, k = label.split("-")
+    k, ca, cd = int(k), Fraction(ca), Fraction(cd)
+    if kind == "I":  # cd on every member of levels 1..k
+        return -c0 - cd * sum(n for _, n in levels[:k]), c0
+    if kind == "I~":  # effort (C(l)-ca-C0)/(C(l)-C0) on every member of levels 1..k
+        return -c0 - cd * sum(n * (c - ca - c0) / (c - c0) for c, n in levels[:k]), c0
+    cj = levels[k - 1][0]  # II-k, II~-k: effort (C(l)-C(k))/(C(l)-C0) on the levels above k
+    return -cj - cd * sum(n * (c - cj) / (c - c0) for c, n in levels[: k - 1]), cj - ca
+
+
+def test_utilities_match_the_per_level_sums_exactly():
+    # Up to 40 levels of 1-3 members. Per level k, three points deter in bracket k
+    # below the curve (often within 1e-4 of its pole for k = 1) and three concede
+    # between bands k and k-1; each is solved in the regime ``locate`` finds there.
+    rng = np.random.default_rng(1515)
+    seen = set()
+    for _ in range(30):
+        c0 = float(rng.uniform(1.0, 30.0))
+        costs = [c0 + float(rng.uniform(0.05, 20.0)) for _ in range(int(rng.integers(1, 41)))]
+        costs = [c for c in costs for _ in range(int(rng.integers(1, 4)))]
+        profile = FacilityProfile(c0, tuple((f"f{t}", float(c)) for t, c in enumerate(rng.permutation(costs))))
+        partition = partition_by_cost(profile)
+        levels = [(Fraction(c), n) for c, n in zip(partition.level_costs, partition.level_sizes)]
+        edges, bands = (*partition.edges, 0.0), (math.inf, *partition.bands)
+        points = {}  # regime and utility function -> points
+        for k in range(1, partition.K + 1):
+            ca = list(rng.uniform(edges[k], edges[k - 1], size=3))
+            cd = [float(rng.uniform(0.0, 1.0)) * partition.cd_tilde(x) for x in ca]
+            ca += list(rng.uniform(0.0, edges[k - 1], size=3))
+            cd += list(rng.uniform(bands[k], min(bands[k - 1], 4 * bands[k]), size=3))
+            for x, y in zip(ca, cd):
+                loc = partition.locate(float(x), float(y))
+                for regime, utilities in ((NeRegime.at(loc), _ne_utilities), (SpeRegime.at(loc), _spe_utilities)):
+                    if regime.label != "boundary":
+                        points.setdefault((regime, utilities), []).append((float(x), float(y)))
+        for (regime, utilities), cells in points.items():
+            seen.add(regime.label.split("-")[0])
+            ud, ua = utilities(partition, *np.array(cells).T, regime)
+            for t, (x, y) in enumerate(cells):
+                got = utilities(partition, x, y, regime)
+                assert [type(v) for v in got] == [float, float]
+                # the array form has the scalar form's bits
+                assert (np.broadcast_to(ud, len(cells))[t], np.broadcast_to(ua, len(cells))[t]) == got
+                want = per_level_utilities(Fraction(c0), levels, x, y, regime.label)
+                for g, w in zip(got, want):
+                    assert abs(Fraction(g) - w) <= 1e-13 * abs(w), (regime.label, x, y, g, float(w))
+    assert seen == {"I", "I~", "II", "II~"}
+
+
 def test_closed_forms_at_2000_facilities():
-    # The closed forms cost O(K) to set up and O(log K) per curve lookup, so
-    # 2000 facilities (about as many cost levels) take well under a second.
+    # The closed forms cost O(K) to set up, O(log K) per curve lookup and O(1)
+    # per utility, read from the prefix sums S_k, N_k and T_k. So 2000 facilities
+    # (about as many cost levels) take well under a second, and a 200x200 sweep,
+    # whose utilities run once per regime present (a few hundred), under half one.
     rng = np.random.default_rng(2000)
     costs = rng.uniform(12.0, 18.0, size=2000)
     profile = FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs)))
@@ -369,3 +439,8 @@ def test_closed_forms_at_2000_facilities():
     assert 0.0 < ca < partition_by_cost(profile).edges[0]
     assert cd_threshold_tilde(profile, ca) == pytest.approx(2.0, rel=1e-12)
     assert elapsed < 2.0
+    start = time.process_time()
+    grid = regime_sweep(profile, (0, 8), (0, 0.2), 200)
+    elapsed = time.process_time() - start
+    assert len(grid) == 200 * 200 and len(set(grid.spe_regime.ravel().tolist())) > 200
+    assert elapsed < 0.5

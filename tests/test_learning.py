@@ -18,7 +18,7 @@ from facsec.learning import (
     state_distribution,
     write_trace_csv,
 )
-from facsec.model import LOAD_EPS, SUPPORT_SLACK, CostParams
+from facsec.model import LOAD_EPS, SUPPORT_SLACK, CostParams, FacilityProfile
 from facsec.normalform import solve_ne
 from facsec.routing import (
     AffineLatency,
@@ -77,6 +77,14 @@ def test_state_distribution_from_equilibria(profile3):
     assert conceding.prob("e1") == pytest.approx(1 / 3)
     assert conceding.prob("e2") == pytest.approx(1 / 2)
     assert conceding.prob(None) == pytest.approx(1 / 6)
+
+    # nine facilities tied at the top level, regime II-1: each is attacked with
+    # probability 1/9 and none is secured, so the intact state has mass 0
+    # exactly; one minus the attacked states' mass rounded to -2.2e-16
+    nine = FacilityProfile(17.0, tuple((f"e{t}", 20.0) for t in range(9)))
+    tied = state_distribution(solve_ne(nine, CostParams(0.5, 100.0)))
+    assert tied.prob(None) == 0.0
+    assert [tied.prob(f"e{t}") for t in range(9)] == [1 / 9] * 9
 
 
 def test_belief_mixed_latencies(cal_network):

@@ -44,7 +44,7 @@ def test_classification_and_partition(profile3):
     assert part3.prefix_sizes == (0, 1, 2, 3)
     assert part3.members_up_to(2) == ("e1", "e2")
     assert part3.edges == (3.0, 2.0, 1.0)
-    assert part3.prefix_ratios == pytest.approx((1 / 3, 5 / 6, 11 / 6), rel=1e-15)
+    assert part3.prefix_ratios == pytest.approx((0.0, 1 / 3, 5 / 6, 11 / 6), rel=1e-15)
     assert part3.bands == pytest.approx((3.0, 6 / 5, 6 / 11), rel=1e-15)
     assert [part3.bracket(ca) for ca in (0.5, 1.0, 2.5, 3.0)] == [3, 2, 1, 0]
 

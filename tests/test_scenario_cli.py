@@ -151,6 +151,10 @@ def grammar_cases():
     for key, name in REQUIRED.items():  # the setting left out: anchored at its section header
         yield pytest.param([line for line in lines if line.split()[0] != key],
                            f":{SECTION_AT[name]}: missing {key}", id=f"missing-{key}")
+    for key, token, message in (("baseline_cost", "1_7", "not a number"), ("horizon", "1_000", "not an integer")):
+        n = next(n for n, line in enumerate(lines) if line.split()[0] == key)  # digit-group underscores
+        yield pytest.param(lines[:n] + [f"{key} {token}"] + lines[n + 1:], f":{n + 1}: {message}: {token!r}",
+                           id=f"underscore-{key}")
     yield pytest.param(lines[3:], ": missing [facilities] section", id="missing-facilities")
     yield pytest.param(lines[:3] + lines[6:], ": missing [costs] section", id="missing-costs")
 
@@ -444,6 +448,34 @@ def test_cli_simulate_prints_a_negative_zero_prior_as_0(capsys, tmp_path):
     rows = list(csv.DictReader(out.splitlines()[1:]))
     assert len(rows) == 5
     assert {row["theta_e1"] for row in rows} == {"0"}
+
+
+def test_cli_rejects_digit_group_underscores(capsys, tmp_path):
+    for old, new, message in (
+        ("baseline_cost 17", "baseline_cost 1_7", "not a number: '1_7'"),
+        ("horizon 100", "horizon 1_000", "not an integer: '1_000'"),
+    ):
+        code, out = run_cli(capsys, "simulate", "--scenario", patched(tmp_path, "underscore.scn", old, new))
+        assert code == 1
+        assert message in out
+
+
+def test_cli_simulate_ne_state_with_nine_tied_top_facilities(capsys, tmp_path):
+    # regime II-1 attacks each of the nine with probability 1/9 and secures
+    # none, so 1 minus the attacked states' mass once rounded to -2.2e-16
+    rows = [f"e{t} 20" for t in range(9)]
+    edges = [f"edge e{t} 1 17 1 20" for t in range(9)]
+    routes = [f"route r{t} e{t}" for t in range(9)]
+    priors = [f"prior e{t} 0.1" for t in range(9)] + ["prior none 0.1"]
+    path = tmp_path / "nine.scn"
+    path.write_text("\n".join(
+        ["[facilities]", "baseline_cost 17", *rows, "[costs]", "attack_cost 0.5", "defense_cost 100",
+         "[network]", "demand 9", *edges, *routes,
+         "[learning]", "noise_half_width 1", "horizon 3", "true_state ne", *priors]
+    ) + "\n")
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--seed", "7")
+    assert code == 0, out
+    assert len(out.splitlines()) == 2 + 3
 
 
 def test_cli_simulate_requires_learning(capsys, tmp_path):

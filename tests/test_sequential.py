@@ -68,7 +68,7 @@ def _points_near_curve_switches(partition, rng):
     edges, ratios, sizes = partition.edges, partition.prefix_ratios, partition.prefix_sizes
     switches = list(edges[1:])
     for i in range(1, partition.K + 1):
-        switches += [(sizes[i] - sizes[j - 1]) / ratios[i - 1] for j in range(2, i + 1)]
+        switches += [(sizes[i] - sizes[j - 1]) / ratios[i] for j in range(2, i + 1)]
     points = [0.0, *rng.uniform(0.0, edges[0], size=5)]
     for x in rng.permutation(switches)[:12]:
         lo = hi = x
