@@ -59,29 +59,50 @@ STATE_SUM_TOL = 1e-12
 # End of tolerances.
 
 
-def on_boundary(x: float, line: float) -> bool:
-    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``."""
-    return abs(x - line) <= BOUNDARY_TOL * max(1.0, abs(x), abs(line))
+def on_boundary(x, line):
+    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``, on
+    numbers or arrays. Rounding is monotone, so testing the distance against each of
+    BOUNDARY_TOL*1, *|x| and *|line| decides as BOUNDARY_TOL*max(1, |x|, |line|) does."""
+    d = abs(x - line)
+    return (d <= BOUNDARY_TOL) | (d <= BOUNDARY_TOL * abs(x)) | (d <= BOUNDARY_TOL * abs(line))
 
 
-def _not_above(x: float, line: float) -> bool:
-    """x below ``line`` or on it."""
-    return x < line or on_boundary(x, line)
+def _not_above(x, line):
+    """x below ``line`` or on it; on numbers or arrays. It can only turn true as ``line`` rises."""
+    return (x < line) | on_boundary(x, line)
 
 
-def _on_boundary_array(x: np.ndarray, line) -> np.ndarray:
-    """``on_boundary`` elementwise: the same IEEE operations, so the same answers."""
-    return np.abs(x - line) <= BOUNDARY_TOL * np.maximum(np.maximum(1.0, np.abs(x)), np.abs(line))
+def _count_above(negated: np.ndarray, x):
+    """How many lines exceed ``x``, a number or an array, given the lines negated
+    (so ascending, as ``FacilityPartition._negated`` holds them)."""
+    return negated.searchsorted(-x)
 
 
-def _not_above_array(x, line) -> np.ndarray:
-    """``_not_above`` elementwise."""
-    return (x < line) | _on_boundary_array(x, line)
+def _near(negated: np.ndarray, x):
+    """How many lines exceed ``x``, a number or an array, and the run [first, stop) of
+    the lines, in decreasing order, that x is ``on_boundary`` with, empty if none;
+    ``negated`` as in ``_count_above``. Only lines within 2*BOUNDARY_TOL*(1 + |x|) of x
+    can be hit, so the test runs on that window alone, one offset into it at a time."""
+    width = 2.0 * BOUNDARY_TOL * (1.0 + abs(x))
+    counts = negated.searchsorted(np.array([-x - width, -x, width - x]))
+    lo, count, hi = counts[0], counts[1], counts[2]
+    first = stop = hi
+    for t in range(_most(hi - lo)):
+        k = lo + t
+        hit = (k < hi) & on_boundary(x, -negated[np.minimum(k, len(negated) - 1)])
+        first, stop = np.where(hit, np.minimum(first, k), first), np.where(hit, k + 1, stop)
+    return count, first, stop
 
 
-def _count_above(values: np.ndarray, x):
-    """How many of the non-increasing ``values`` exceed ``x``, a number or an array."""
-    return len(values) - values[::-1].searchsorted(x, side="right")
+def _most(counts) -> int:
+    """The largest of ``counts``, a number or an array, or 0."""
+    return max(0, int(counts.max(initial=0) if isinstance(counts, np.ndarray) else counts))
+
+
+# Region labels by 8*boundary + 4*(i > 0) + 2*(j > i) + below_curve, and the first three
+# weights as numpy integers, since a numpy bool times a Python int takes a slow path.
+_REGIONS = np.array(["none"] * 4 + ["H", "M", "L", "L"] + ["boundary"] * 8, dtype=object)
+_REGION_WEIGHTS = tuple(np.array([8, 4, 2]))
 
 
 class ModelError(ValueError):
@@ -94,6 +115,11 @@ class EmptyVulnerableUniverse(ModelError):
 
 class NonpositiveDenominator(ValueError):
     """The requested threshold expression degenerates at these parameters."""
+
+
+def _require_positive_finite(value: float, what: str) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ModelError(f"{what} must be {'finite' if value == math.inf else 'positive'}")
 
 
 def _lookup(table: Mapping[FacilityId, float], fac: FacilityId, missing: str) -> float:
@@ -115,14 +141,12 @@ class FacilityProfile:
     facilities: tuple[tuple[FacilityId, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.baseline_cost > 0:
-            raise ModelError("baseline cost must be positive")
+        _require_positive_finite(self.baseline_cost, "baseline cost")
         if not self.facilities:
             raise ModelError("at least one facility is required")
         _reject_repeated_ids(self.facilities)
         for fac, cost in self.facilities:
-            if not cost > 0:
-                raise ModelError(f"post-attack cost of {fac!r} must be positive")
+            _require_positive_finite(cost, f"post-attack cost of {fac!r}")
 
     @cached_property
     def _cost_map(self) -> dict[FacilityId, float]:
@@ -138,16 +162,14 @@ class FacilityProfile:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Per-facility defense cost and attack cost, both strictly positive."""
+    """Per-facility defense cost and attack cost, both positive and finite."""
 
     attack_cost: float
     defense_cost: float
 
     def __post_init__(self) -> None:
-        if not self.attack_cost > 0:
-            raise ModelError("attack cost must be positive")
-        if not self.defense_cost > 0:
-            raise ModelError("defense cost must be positive")
+        _require_positive_finite(self.attack_cost, "attack cost")
+        _require_positive_finite(self.defense_cost, "defense cost")
 
 
 @dataclass(frozen=True)
@@ -240,9 +262,14 @@ class FacilityPartition:
         edges, *rest = (np.array(column, dtype=float) for column in columns)
         return (edges, *rest, (np.array(self.level_costs) - edges) - self.baseline_cost)
 
+    @cached_property
+    def _negated(self) -> tuple[np.ndarray, np.ndarray]:
+        """-edges and -bands, ascending, for ``_count_above`` and ``_near``."""
+        return -self._arrays[0], -self._arrays[1]
+
     def bracket(self, attack_cost: float) -> int:
         """Number of levels whose cost increase beats the attack cost (the regime index i)."""
-        return int(_count_above(self._arrays[0], attack_cost))
+        return int(_count_above(self._negated[0], attack_cost))
 
     def deterrence_spend(self, ca, i):
         """N_i - ca*S_i, what deterring levels 1..i spends per unit of defense cost: effort
@@ -265,6 +292,12 @@ class FacilityPartition:
             j = np.minimum(1 + sizes[1:].searchsorted(deter), i)
         return edges[j - 1], deter - spends[j]
 
+    def _curve_value(self, ca, i):
+        """The curve at ``ca`` on the piece of bracket i that holds it, on numbers or on
+        arrays elementwise; +inf in bracket 0, where S_0 = 0 leaves both spends 0."""
+        with np.errstate(divide="ignore"):
+            return np.divide(*self._curve(ca, i))
+
     def cd_ij(self, ca: float, i: int, j: Optional[int] = None) -> float:
         """Piece (i, j) at ``ca``, by default the piece that holds ca; raises
         NonpositiveDenominator where it degenerates."""
@@ -283,89 +316,66 @@ class FacilityPartition:
         """The attack cost where the threshold curve, rising with ca, reaches ``cd`` >
         cd_tilde(0): in the bracket i whose ends hold cd, on the piece 1 + #{bands above cd},
         where the deterrence spend exceeds the concession spend T_j by (C(j)-C0)/cd."""
-        edges, bands, ratios = self._arrays[:3]
+        edges, ratios = self._arrays[0], self._arrays[2]
         i = 1 + bisect_left(range(1, self.K), -cd, key=lambda k: -self.cd_tilde(edges[k]))
-        j = min(1 + int(_count_above(bands, cd)), i)
+        j = min(1 + int(_count_above(self._negated[1], cd)), i)
         edge, a = self._curve(0.0, i, j)  # the denominator at ca = 0 is a_ij
         ca = (a - edge / cd) / ratios[i]
         return float(min(max(ca, edges[i] if i < self.K else 0.0), edges[i - 1]))
 
-    def locate(self, ca: float, cd: float) -> Location:
-        """Place (ca, cd) among the level edges C(k)-C0, the band constants 1/S_k
-        and the threshold curve; the classifiers make no other ``on_boundary`` test.
+    def _place(self, ca, cd):
+        """The regime-diagram rules of ``locate`` and ``locate_grid``: (i, j, below_curve,
+        region, on_ne_line, on_spe_line) at numbers ``ca`` and ``cd``, or at a column of
+        attack costs against a row of defense costs. Every ``on_boundary`` test of the
+        classifiers is made here, on the few lines near the point.
 
-        Edge 1 separates everything. Across edge k >= 2 the bracket drops to
-        k-1: the NE regime changes below band k-1, the SPE regime below the
-        curve, and the region between bands k and k-1, where its L/M line
-        jumps. Band k separates NE regimes for k <= i, SPE regimes above the
-        curve, and the region for k = i."""
-        edges, bands, i = self.edges, self.bands, self.bracket(ca)
-        j = 1 + int(_count_above(self._arrays[1], cd))
-        if on_boundary(ca, edges[0]):
-            return Location(i, j, True, "boundary", True, True)
-        crossed = [k for k in range(2, self.K + 1) if on_boundary(ca, edges[k - 1])]
-        on_ne = any(_not_above(cd, bands[k - 2]) for k in crossed)
-        on_spe = any(_not_above(cd, self.cd_tilde(edges[k - 1])) for k in crossed)
-        on_region = any(
-            _not_above(bands[k - 1], cd) and _not_above(cd, bands[k - 2]) for k in crossed
-        )
-        below, on_curve = True, False  # the curve is infinite from C(1)-C0 on
-        if i:
-            curve = self.cd_tilde(ca)
-            below, on_curve = cd < curve, on_boundary(cd, curve)
-        band_hits = [k for k, band in enumerate(bands, start=1) if on_boundary(cd, band)]
-        on_ne = on_ne or any(k <= i for k in band_hits)
+        Edge 1 separates everything. Across edge k >= 2 the bracket drops to k-1: the NE
+        regime changes below band k-1, the SPE regime below the curve, and the region
+        between bands k and k-1, where its L/M line jumps. Band k separates NE regimes for
+        k <= i, SPE regimes above the curve, and the region for k = i. The crossed edges
+        form one run, as do the band hits, and ``_not_above`` can only turn true as its
+        line rises, so each run is tested at its highest band or curve value."""
+        (edges, bands), (neg_edges, neg_bands) = self._arrays[:2], self._negated
+        i, first, stop = _near(neg_edges, ca)  # 0-based: edge k is edges[k-1]
+        j, band_first, band_stop = _near(neg_bands, cd)  # and band k is bands[k-1]
+        j = j + 1
+        on_ne = on_spe = boundary = edge1 = (first == 0) & (stop > 0)  # then nothing else matters
+        widest = _most(stop - first)
+        if widest:  # some ca crosses level edges: those in its run beyond edge 1
+            crossed = first < stop
+            under_top = crossed & _not_above(cd, bands[first - 1])  # the highest edge's band
+            peak = -math.inf  # the highest curve value at a crossed edge
+            for t in range(widest):
+                x = edges[np.minimum(first + t, self.K - 1)]
+                value = self._curve_value(x, _count_above(neg_edges, x))
+                peak = np.where(first + t < stop, np.maximum(peak, value), peak)
+            on_ne = on_ne | under_top
+            on_spe = on_spe | (crossed & _not_above(cd, peak))
+            boundary = boundary | (under_top & _not_above(bands[stop - 1], cd))
+        curve = self._curve_value(ca, i)  # +inf at i = 0: the curve ends at C(1)-C0
+        below, on_curve = (cd < curve) | edge1, (i > 0) & ~edge1 & on_boundary(cd, curve)
+        band_hit = band_first < band_stop
+        on_ne = on_ne | (band_hit & (band_first < i))
         # above the curve yet below every band (j > K) happens only by rounding
-        on_spe = on_spe or on_curve or (not below and (bool(band_hits) or j > self.K))
-        if on_region or on_curve or i in band_hits:
-            region = "boundary"
-        else:
-            region = "none" if i == 0 else "L" if j > i else "M" if below else "H"
-        return Location(i, j, below, region, on_ne, on_spe)
+        on_spe = on_spe | on_curve | (~below & (band_hit | (j > self.K)))
+        boundary = boundary | on_curve | ((band_first < i) & (i <= band_stop))
+        w8, w4, w2 = _REGION_WEIGHTS
+        return i, j, below, _REGIONS[w8 * boundary + w4 * (i > 0) + w2 * (j > i) + below], on_ne, on_spe
+
+    def locate(self, ca: float, cd: float) -> Location:
+        """Place (ca, cd) among the edges C(k)-C0, bands 1/S_k and the curve (``_place``)."""
+        i, j, below, region, on_ne, on_spe = self._place(ca, cd)
+        return Location(int(i), int(j), bool(below), region, bool(on_ne), bool(on_spe))
 
     def locate_grid(self, ca: np.ndarray, cd: np.ndarray) -> LocationGrid:
-        """``locate`` at every (ca, cd) of the axes ``ca`` and ``cd``, rule for
-        rule: what depends on ca alone is found once per row, what depends on
-        cd alone once per column, and the rest by broadcasting one against the
-        other with ``on_boundary``'s expression applied elementwise."""
-        K, (edges, bands) = self.K, self._arrays[:2]
-        i = _count_above(edges, ca)
-        j = 1 + _count_above(bands, cd)
-        edge_hits = _on_boundary_array(ca[:, None], edges)
-        edge1 = edge_hits[:, 0]
-        crossed = edge_hits[:, 1:] & ~edge1[:, None]  # column k-2 for edge k
-        shape = (len(ca), len(cd))
-        on_ne, on_spe, on_region = np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape, bool)
-        for k in np.flatnonzero(crossed.any(axis=0)) + 2:
-            rows = crossed[:, k - 2, None]
-            on_ne |= rows & _not_above_array(cd, bands[k - 2])
-            on_spe |= rows & _not_above_array(cd, self.cd_tilde(self.edges[k - 1]))
-            on_region |= rows & _not_above_array(bands[k - 1], cd) & _not_above_array(cd, bands[k - 2])
-        # the curve is infinite from C(1)-C0 on; on edge 1 it is not needed
-        has_curve = (i > 0) & ~edge1
-        edge, den = self._curve(ca[has_curve], i[has_curve])
-        curve = np.full(len(ca), math.inf)
-        curve[has_curve] = edge / den
-        below = cd < curve[:, None]
-        on_curve = has_curve[:, None] & _on_boundary_array(cd, curve[:, None])
-        band_hits = _on_boundary_array(cd, bands[:, None])  # row k-1 for band k
-        any_hit = band_hits.any(axis=0)
-        first_hit = np.where(any_hit, band_hits.argmax(axis=0) + 1, K + 1)
-        on_ne |= edge1[:, None] | (first_hit <= i[:, None])
-        # above the curve yet below every band (j > K) happens only by rounding
-        on_spe |= edge1[:, None] | on_curve | (~below & (any_hit | (j > K)))
-        hit_i = np.vstack([np.zeros_like(any_hit), band_hits])[i]  # i in band_hits
-        boundary = edge1[:, None] | on_region | on_curve | hit_i
-        code = np.select([boundary, i[:, None] == 0, j > i[:, None], below], [0, 1, 2, 3], 4)
-        region = np.array(["boundary", "none", "L", "M", "H"], dtype=object)[code]
-        return LocationGrid(i, j, below, region, on_ne, on_spe)
+        """``locate`` at every (ca, cd) of the axes ``ca`` and ``cd``, by the same
+        rules: ca runs down the rows and cd along the columns."""
+        i, j, below, region, on_ne, on_spe = self._place(ca[:, None], cd)
+        return LocationGrid(i[:, 0], j, below, region, on_ne, on_spe)
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""
-        out: list[FacilityId] = []
-        for level in self.levels[:k]:
-            out.extend(level.members)
-        return tuple(out)
+        return tuple(fac for level in self.levels[:k] for fac in level.members)
 
 
 @lru_cache(maxsize=512)

@@ -219,16 +219,6 @@ def wardrop_equilibrium(
     return _assemble(network, latencies, flows)
 
 
-def beckmann_potential(
-    latencies: Mapping[str, AffineLatency], edge_loads: Mapping[str, float]
-) -> float:
-    """Convex potential whose minimizer over feasible flows is the equilibrium."""
-    return sum(
-        latencies[e].slope * w * w / 2.0 + latencies[e].intercept * w
-        for e, w in edge_loads.items()
-    )
-
-
 def usage_cost_for_state(network: RoutedNetwork, state: Optional[str]) -> float:
     """Average traveler cost at equilibrium with ``state`` compromised.
 

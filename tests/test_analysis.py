@@ -39,6 +39,7 @@ from facsec.sequential import (
 )
 
 from conftest import random_game
+from locate_reference import reference_locate
 
 
 def region(profile, ca, cd):
@@ -290,29 +291,54 @@ def random_levelled_profile(rng: np.random.Generator) -> FacilityProfile:
     return FacilityProfile(c0, tuple((f"f{t + 1}", float(c)) for t, c in enumerate(costs)))
 
 
+def clustered_profile() -> FacilityProfile:
+    """Eight levels, four of whose edges lie within BOUNDARY_TOL of 4 (relative), so
+    an attack cost of 4 crosses all four at once; two levels have several members."""
+    cluster = [4.0 * (1.0 + t * 2e-13) for t in range(4)]
+    increases = [9.0, 7.0, 7.0, *cluster, cluster[1], 2.5, 1.0, 1.0, 1.0]
+    return FacilityProfile(10.0, tuple((f"f{t + 1}", 10.0 + x) for t, x in enumerate(increases)))
+
+
 def near(values, rel=1e-12):
     return [x * f for x in values for f in (1.0 - rel, 1.0, 1.0 + rel)]
 
 
+FIELDS = ("i", "j", "below_curve", "region", "on_ne_line", "on_spe_line")
+
+
+def assert_placed_as_the_reference(partition, ca, cd):
+    """``locate`` at every point and ``locate_grid`` on the axes agree exactly with
+    the reference, and ``locate`` returns plain Python values."""
+    grid = partition.locate_grid(np.array(ca, dtype=float), np.array(cd, dtype=float))
+    for r, x in enumerate(ca):
+        for c, y in enumerate(cd):
+            want = reference_locate(partition, x, y)
+            got = partition.locate(x, y)
+            assert got == want, (x, y)
+            assert [type(getattr(got, f)) for f in FIELDS] == [int, int, bool, str, bool, bool]
+            cell = (grid.i[r], grid.j[c], *(getattr(grid, f)[r, c] for f in FIELDS[2:]))
+            assert cell == tuple(getattr(want, f) for f in FIELDS), (x, y)
+
+
 def test_locate_grid_matches_locate_cell_by_cell():
+    # Both paths against the reference; the clustered profile, last, puts one attack
+    # cost on four level edges, and its curve values there go into the defense costs.
     rng = np.random.default_rng(808)
-    fields = ("below_curve", "region", "on_ne_line", "on_spe_line")
-    for _ in range(20):
-        partition = partition_by_cost(random_levelled_profile(rng))
+    for t in range(21):
+        profile = random_levelled_profile(rng) if t < 20 else clustered_profile()
+        partition = partition_by_cost(profile)
         edges, bands, top = partition.edges, partition.bands, partition.edges[0]
         ca = near(edges) + list(rng.uniform(0.0, 1.2 * top, size=10))
         curve = [partition.cd_tilde(x) for x in ca if 0.0 <= x < top]
         cd = near(bands) + near(rng.choice(curve, size=min(4, len(curve)))) + list(
             rng.uniform(0.0, 1.5 * bands[0], size=10)
         )
-        grid = partition.locate_grid(np.array(ca), np.array(cd))
-        for r, x in enumerate(ca):
-            for c, y in enumerate(cd):
-                want = partition.locate(x, y)
-                assert (grid.i[r], grid.j[c]) == (want.i, want.j), (x, y)
-                assert tuple(grid.__dict__[f][r, c] for f in fields) == tuple(
-                    getattr(want, f) for f in fields
-                ), (x, y)
+        if t == 20:
+            crossed = [x for x in edges if abs(x - 4.0) <= 1e-12 * 4.0]
+            assert len(crossed) == 4 and edges[0] not in crossed
+            ca.append(4.0)
+            cd += near([partition.cd_tilde(x) for x in crossed])
+        assert_placed_as_the_reference(partition, ca, cd)
 
 
 @pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-8])
@@ -325,7 +351,7 @@ def test_a_point_on_the_curve_next_to_its_pole_is_on_the_boundary(rel):
     cd = float(Fraction(edge) ** 2 / (Fraction(edge) - Fraction(ca)))
     assert partition.bracket(ca) == 1
     assert partition.locate(ca, cd).region == "boundary"
-    assert partition.locate_grid(np.array([ca]), np.array([cd])).region[0, 0] == "boundary"
+    assert_placed_as_the_reference(partition, [ca], [cd])
 
 
 @pytest.mark.parametrize("rel", [1e-4, 1e-6, 1e-8])
@@ -338,11 +364,35 @@ def test_the_curve_next_to_its_pole_reads_the_unrounded_edge(rel):
     cd = float(edge / (1 - Fraction(ca) / edge))
     assert partition.bracket(ca) == 1
     assert partition.locate(ca, cd).region == "boundary"
-    assert partition.locate_grid(np.array([ca]), np.array([cd])).region[0, 0] == "boundary"
+    assert_placed_as_the_reference(partition, [ca], [cd])
+
+
+def boundary_cells_of_a_sweep_from(profile, edge, band) -> int:
+    """Sweep ``profile`` on an 8x16 grid whose first midpoint is (edge, band), check
+    every cell against the reference locator and the scalar utilities, and count the
+    cells with a boundary label. Ranges (0, 2 n v) with n a power of two put the first
+    midpoint exactly on v."""
+    partition = partition_by_cost(profile)
+    n_ca, n_cd = 8, 16
+    cells = regime_sweep(profile, (0.0, 2 * n_ca * edge), (0.0, 2 * n_cd * band), (n_ca, n_cd))
+    assert (cells[0].ca, cells[0].cd) == (edge, band)
+    hits = 0
+    for cell in cells:
+        loc = reference_locate(partition, cell.ca, cell.cd)
+        ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
+        assert (cell.ne_regime, cell.spe_regime, cell.region) == (ne.label, spe.label, loc.region)
+        params = CostParams(cell.ca, cell.cd)
+        ud = ua = uds = uas = None
+        if ne.label != "boundary":
+            ud, ua = ne_utilities(profile, params, ne)
+        if spe.label != "boundary":
+            uds, uas = spe_utilities(profile, params, spe)
+        assert (cell.ud, cell.ua, cell.uds, cell.uas) == (ud, ua, uds, uas), cell
+        hits += "boundary" in (cell.ne_regime, cell.spe_regime, cell.region)
+    return hits
 
 
 def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
-    # ranges (0, 2 n v) with n a power of two put the first midpoint exactly on v
     rng = np.random.default_rng(909)
     hits = 0
     for _ in range(30):
@@ -350,22 +400,11 @@ def test_regime_sweep_matches_the_scalar_path_cell_by_cell():
         partition = partition_by_cost(profile)
         edge = float(rng.choice(partition.edges))
         band = float(rng.choice(partition.bands))
-        n_ca, n_cd = 8, 16
-        cells = regime_sweep(profile, (0.0, 2 * n_ca * edge), (0.0, 2 * n_cd * band), (n_ca, n_cd))
-        assert (cells[0].ca, cells[0].cd) == (edge, band)
-        for cell in cells:
-            loc = partition.locate(cell.ca, cell.cd)
-            ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
-            assert (cell.ne_regime, cell.spe_regime, cell.region) == (ne.label, spe.label, loc.region)
-            params = CostParams(cell.ca, cell.cd)
-            ud = ua = uds = uas = None
-            if ne.label != "boundary":
-                ud, ua = ne_utilities(profile, params, ne)
-            if spe.label != "boundary":
-                uds, uas = spe_utilities(profile, params, spe)
-            assert (cell.ud, cell.ua, cell.uds, cell.uas) == (ud, ua, uds, uas), cell
-            hits += "boundary" in (cell.ne_regime, cell.spe_regime, cell.region)
+        hits += boundary_cells_of_a_sweep_from(profile, edge, band)
     assert hits >= 30
+    # the first row of the clustered profile's sweep lies on four level edges at once
+    partition = partition_by_cost(clustered_profile())
+    assert boundary_cells_of_a_sweep_from(clustered_profile(), partition.edges[3], partition.bands[3]) > 0
 
 
 def per_level_utilities(c0, levels, ca, cd, label):
@@ -444,3 +483,22 @@ def test_closed_forms_at_2000_facilities():
     elapsed = time.process_time() - start
     assert len(grid) == 200 * 200 and len(set(grid.spe_regime.ravel().tolist())) > 200
     assert elapsed < 0.5
+
+
+def test_locate_at_2000_facilities_tests_only_the_lines_near_the_point():
+    # One locate looks at the few level edges and band constants within about
+    # 2*BOUNDARY_TOL of the point, found by bisection, so at 2000 facilities (about as
+    # many levels) it takes well under 0.1 ms of CPU time, on a line or off it.
+    rng = np.random.default_rng(2000)
+    costs = rng.uniform(12.0, 18.0, size=2000)
+    partition = partition_by_cost(FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs))))
+    edges, bands = partition.edges, partition.bands
+    on_lines = [(edges[k], bands[k]) for k in range(0, partition.K, 40)]
+    on_lines += [(x, partition.cd_tilde(x)) for x in rng.uniform(0.0, edges[0], size=50).tolist()]
+    off_lines = list(zip(rng.uniform(0.0, 8.0, size=200).tolist(), rng.uniform(0.0, 0.2, size=200).tolist()))
+    points = on_lines + off_lines
+    assert sum(partition.locate(*point).region == "boundary" for point in points) >= len(on_lines)
+    start = time.process_time()
+    for ca, cd in points:
+        partition.locate(ca, cd)
+    assert (time.process_time() - start) / len(points) < 1e-4

@@ -1,3 +1,4 @@
+import math
 import tokenize
 from pathlib import Path
 
@@ -27,6 +28,25 @@ def test_profile_validation():
         CostParams(0.0, 1.0)
     with pytest.raises(ModelError):
         CostParams(1.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: FacilityProfile(17.0, (("e1", v), ("e2", 19.0))), "post-attack cost of 'e1' must be"),
+        (lambda v: FacilityProfile(v, (("e1", 20.0),)), "baseline cost must be"),
+        (lambda v: CostParams(v, 1.0), "attack cost must be"),
+        (lambda v: CostParams(1.0, v), "defense cost must be"),
+    ],
+)
+def test_costs_must_be_positive_and_finite(build, message):
+    # An infinite post-attack cost made every solver divide by zero in the band
+    # constants, and an infinite attack cost read as "on the boundary" of every
+    # level edge (inf - edge <= tolerance * inf).
+    for value, why in ((math.inf, "finite"), (0.0, "positive"), (-1.0, "positive"), (math.nan, "positive")):
+        with pytest.raises(ModelError, match=f"^{message} {why}$"):
+            build(value)
+    build(1e308)
 
 
 def test_classification_and_partition(profile3):

@@ -9,7 +9,6 @@ from facsec.routing import (
     NetworkError,
     Route,
     RoutedNetwork,
-    beckmann_potential,
     latencies_for_state,
     usage_cost_for_state,
     wardrop_equilibrium,
@@ -140,6 +139,14 @@ def test_most_negative_flow_is_not_always_unused():
     costs = {"p0": 19.75, "p1": 13.75, "p2": 12.75, "p3": 22.75, "p4": 12.75}
     for rid, c in costs.items():
         assert flow.route_costs[rid] == pytest.approx(c, abs=1e-12)
+
+
+def beckmann_potential(latencies, edge_loads) -> float:
+    """Convex potential whose minimizer over feasible flows is the equilibrium."""
+    return sum(
+        latencies[e].slope * w * w / 2.0 + latencies[e].intercept * w
+        for e, w in edge_loads.items()
+    )
 
 
 def test_equilibrium_minimizes_the_potential(cal_network):
