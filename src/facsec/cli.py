@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
 from .model import CHECK_EPS, LP_AGREEMENT_TOL, TIE_TOL, EffortVector, expected_utilities
-from .normalform import BoundaryParameters, build_attacker_lp, solve_ne
-from .oracle import LpSolution, SimplexIterationLimit, simplex_solve, verify_ne, verify_spe
+from .normalform import BoundaryParameters, solve_ne
+from .oracle import attacker_lp_optimum, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
 from .sequential import solve_spe
 
@@ -60,9 +60,7 @@ def _write_csv(args: argparse.Namespace, write: Callable) -> None:
         write(sys.stdout)
 
 
-def _lp_report(sol: LpSolution) -> list[str]:
-    if sol.status != "optimal":
-        return [f"lp_status: {sol.status}"]
+def _lp_report(sol) -> list[str]:
     sigmas = [
         (label.removeprefix("sigma_"), value)
         for label, value in sol.assignment.items()
@@ -77,8 +75,7 @@ def _cmd_solve_ne(scenario: Scenario, args: argparse.Namespace) -> int:
     except BoundaryParameters:
         lines = ["regime: boundary",
                  "note: parameters on a regime boundary; reporting the attacker LP optimum"]
-        sol = simplex_solve(build_attacker_lp(scenario.profile, scenario.params))
-        _emit(args, lines + _lp_report(sol))
+        _emit(args, lines + _lp_report(attacker_lp_optimum(scenario.profile, scenario.params)))
         return 2
     lines = [f"regime: {eq.regime.label}"]
     if eq.regime.index == 0:
@@ -158,7 +155,7 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
     if not math.isfinite(args.perturb):
         raise _UsageError(f"bad --perturb {args.perturb!r}; expected a finite number")
     profile, params = scenario.profile, scenario.params
-    lp_sol = simplex_solve(build_attacker_lp(profile, params))
+    lp_sol = attacker_lp_optimum(profile, params)
     try:
         ne = solve_ne(profile, params)
         spe = solve_spe(profile, params)
@@ -179,19 +176,12 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         effort = EffortVector.over(profile, bumped)
         claimed_spe_ud += args.perturb
 
-    ok = True
     closed = ne.attacker_utility + params.defense_cost * ne.effort.total
-    if lp_sol.status != "optimal":
-        lines.append(f"check lp: FAILED -- simplex status {lp_sol.status}")
-        ok = False
-    else:
-        diff = abs(closed - lp_sol.value)
-        good = diff <= LP_AGREEMENT_TOL
-        ok = ok and good
-        lines.append(
-            f"check lp: closed-form value {_fmt(closed)}, simplex {_fmt(lp_sol.value)}"
-            f" -- {'ok' if good else 'FAILED'}"
-        )
+    ok = abs(closed - lp_sol.value) <= LP_AGREEMENT_TOL
+    lines.append(
+        f"check lp: closed-form value {_fmt(closed)}, LP optimum {_fmt(lp_sol.value)}"
+        f" -- {'ok' if ok else 'FAILED'}"
+    )
 
     # best-response failures first, then the claimed (Ud, Ua) against their expected values
     ne_failures = list(verify_ne(profile, params, effort, ne.attack, eps=args.eps).failures)
@@ -293,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (InternalInconsistency, SimplexIterationLimit) as err:
+    except InternalInconsistency as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except ValueError as err:

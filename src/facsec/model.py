@@ -44,7 +44,7 @@ PHASE1_TOL = 1e-7
 TIE_TOL = 1e-12
 # abs: default slack of verify_ne and verify_spe, and of `facsec verify --eps`.
 CHECK_EPS = 1e-9
-# abs: closed-form value vs simplex value of the attacker LP in `facsec verify`.
+# abs: closed-form value vs the attacker LP's optimum (`attacker_lp_optimum`) in `facsec verify`.
 LP_AGREEMENT_TOL = 1e-8
 # abs: Lemke column entries at or below this do not bound a ratio test.
 LEMKE_PIVOT_TOL = 1e-12

@@ -1,9 +1,10 @@
 """Independent checking machinery: a small LP solver and equilibrium verifiers.
 
 Everything here is deliberately first-principles — enumeration, a textbook
-two-phase simplex, and one LP per attacker response for commitment, each
-maximized by its kinks in one variable — so it can serve as an oracle against
-the closed-form solvers without sharing their formulas.
+two-phase simplex, the attacker LP filled piece by piece in order of slope, and
+one LP per attacker response for commitment, each maximized by its kinks in one
+variable — so it can serve as an oracle against the closed-form solvers without
+sharing their formulas. The simplex is the tests' reference for the other two.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model import (
     TIE_TOL,
     CostParams,
     EffortVector,
+    EmptyVulnerableUniverse,
     FacilityId,
     FacilityProfile,
 )
@@ -250,6 +252,33 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         assignment[label] = xj
         value += lp.objective[j] * xj
     return LpSolution("optimal", value, assignment, tuple(basis.tolist()))
+
+
+def attacker_lp_optimum(profile: FacilityProfile, params: CostParams) -> LpSolution:
+    """An optimum of ``normalform.build_attacker_lp``, read off its structure in O(n log n).
+
+    Facility e adds v_e = min((C_e - ca)*sigma_e, (C0 - ca)*sigma_e + cd): slope C_e - ca
+    up to its knee sigma_e = cd/(C_e - C0), then C0 - ca. Mass on sigma_none pays C0, so
+    the LP is a fractional knapsack (Dantzig, 1957): only the first pieces with
+    C_e - ca > C0 beat sigma_none, and they fill by descending C_e (ties in profile
+    order) until the mass runs out. The labels are the LP's, in its order; no basis.
+    """
+    c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
+    increased = [(fac, ce) for fac, ce in profile.facilities if ce > c0]
+    if not increased:
+        raise EmptyVulnerableUniverse("no facility has post-attack cost above baseline")
+    sigma = dict.fromkeys((fac for fac, _ in increased), 0.0)
+    left = 1.0
+    for fac, ce in sorted(increased, key=lambda item: item[1], reverse=True):  # stable
+        if ce - ca <= c0:
+            break
+        sigma[fac] = min(left, cd / (ce - c0))
+        left -= sigma[fac]
+    envelope = [min((ce - ca) * sigma[fac], (c0 - ca) * sigma[fac] + cd) for fac, ce in increased]
+    assignment = {f"sigma_{fac}": s for fac, s in sigma.items()}
+    assignment["sigma_none"] = left
+    assignment.update((f"v_{fac}", v) for (fac, _), v in zip(increased, envelope))
+    return LpSolution("optimal", sum(envelope, c0 * left), assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -81,20 +81,6 @@ class SpeOutcome:
     attacker_utility: float
 
 
-def cd_ij(profile: FacilityProfile, attack_cost: float, i: int, j: int) -> float:
-    """Defense cost at which deterring levels 1..i costs exactly as much as
-    conceding an attack pinned down to level j.
-
-    Defined for 1 <= j <= i <= K as (C(j)-C0) / (N_i - ca*S_i - T_j), from the prefix
-    sums S_k of E(k)/(C(k)-C0) and N_k of E(k), and T_j = N_{j-1} - (C(j)-C0)*S_{j-1}:
-    where -C0 - cd*(N_i - ca*S_i) and -C(j) - cd*T_j tie. Raises NonpositiveDenominator.
-    """
-    partition = partition_by_cost(profile)
-    if not (1 <= j <= i <= partition.K):
-        raise OutOfDomain(f"need 1 <= j <= i <= {partition.K}, got i={i}, j={j}")
-    return partition.cd_ij(attack_cost, i, j)
-
-
 def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
     """The deterrence/concession threshold curve, evaluated at ``attack_cost``.
 
@@ -111,10 +97,10 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
 def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     """Attack cost at which the threshold curve reaches ``defense_cost``.
 
-    On piece (i, j), ca = (N_i - T_j - (C(j)-C0)/cd) / S_i (see ``cd_ij``), clipped to
-    bracket i. Bisections find j, the concession level, and i, the bracket whose
-    ends hold cd, in O(log K) curve values. Raises BelowRange below the curve's
-    value at attack cost 0.
+    On piece (i, j), ca = (N_i - T_j - (C(j)-C0)/cd) / S_i (see
+    ``FacilityPartition.cd_ij``), clipped to bracket i. Bisections find j, the
+    concession level, and i, the bracket whose ends hold cd, in O(log K) curve
+    values. Raises BelowRange below the curve's value at attack cost 0.
     """
     partition = partition_by_cost(profile)
     base = partition.cd_tilde(0.0)

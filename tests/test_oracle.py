@@ -7,11 +7,19 @@ import numpy as np
 import pytest
 
 from facsec import oracle
-from facsec.model import AttackDistribution, CostParams, EffortVector, FacilityProfile, partition_by_cost
+from facsec.model import (
+    AttackDistribution,
+    CostParams,
+    EffortVector,
+    EmptyVulnerableUniverse,
+    FacilityProfile,
+    partition_by_cost,
+)
 from facsec.normalform import build_attacker_lp, solve_ne
 from facsec.oracle import (
     LinearProgram,
     attacker_best_response_enum,
+    attacker_lp_optimum,
     defender_utility_vs_br,
     simplex_solve,
     standard_form,
@@ -21,6 +29,11 @@ from facsec.oracle import (
 from facsec.sequential import cd_threshold_tilde, solve_spe
 
 from conftest import random_game
+
+try:
+    from scipy.optimize import linprog
+except ImportError:  # HiGHS is an optional cross-check
+    linprog = None
 
 
 def lp(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(), bounds=None, labels=None):
@@ -282,6 +295,7 @@ def test_attacker_lp_pivots_per_phase(monkeypatch, profile3, ca, cd, pivots):
     monkeypatch.setattr(oracle._Tableau, "pivot", counted_pivot)
     assert simplex_solve(build_attacker_lp(profile3, CostParams(ca, cd))).status == "optimal"
     assert phases == pivots
+    solve_attacker_lp(profile3, CostParams(ca, cd))
 
 
 def _highs(linprog, program):
@@ -329,6 +343,7 @@ def test_simplex_agrees_with_highs():
     for profile, params in games:
         programs += [program for _, program in _commitment_lps(profile, params)]
         programs.append(build_attacker_lp(profile, params))
+        solve_attacker_lp(profile, params)
     statuses = Counter()
     for program in filter(lambda p: p.objective, programs):  # HiGHS takes no empty LP
         sol = simplex_solve(program)
@@ -469,13 +484,66 @@ def test_oracles_reject_a_nan_claim_or_tolerance(profile3):
     assert not verify_spe(profile3, params, spe.effort, spe.defender_utility, eps=nan).ok
 
 
+def solve_attacker_lp(profile, params):
+    """simplex_solve on the attacker LP, after checking attacker_lp_optimum against it
+    and, when scipy is present, against HiGHS: values within 2e-9 relative, and the
+    fill's point, under the LP's labels in their order, feasible within 1e-12."""
+    program = build_attacker_lp(profile, params)
+    sol, fill = simplex_solve(program), attacker_lp_optimum(profile, params)
+    assert sol.status == fill.status == "optimal"
+    references = [sol.value]
+    if linprog is not None:
+        references.append(_highs(linprog, program)[1])
+    for reference in references:
+        assert abs(fill.value - reference) <= 2e-9 * max(1.0, abs(reference)), (profile, params)
+    assert tuple(fill.assignment) == program.labels
+    x = np.array(list(fill.assignment.values()))
+    assert all(lo is None or value >= lo for (lo, _), value in zip(program.bounds, x))
+    assert (np.array(program.a_ub) @ x <= np.array(program.b_ub) + 1e-12).all(), (profile, params)
+    assert abs(np.array(program.a_eq) @ x - 1.0).max() <= 1e-12
+    assert abs(np.dot(program.objective, x) - fill.value) <= 1e-12 * max(1.0, abs(fill.value))
+    return sol
+
+
 def lp_gap(profile, params):
     """|closed-form attacker LP value - simplex value|."""
     eq = solve_ne(profile, params)
     closed = eq.attacker_utility + params.defense_cost * eq.effort.total
-    sol = simplex_solve(build_attacker_lp(profile, params))
-    assert sol.status == "optimal"
-    return abs(closed - sol.value)
+    return abs(closed - solve_attacker_lp(profile, params).value)
+
+
+def _profile(c0, *costs):
+    return FacilityProfile(c0, tuple((f"f{t}", c) for t, c in enumerate(costs)))
+
+
+_KNEES = _profile(10.0, 14.0, 12.0, 14.0)  # 1/S_2 = 1/(1/4 + 1/2 + 1/4)
+
+
+@pytest.mark.parametrize("profile, ca, cd, sigmas", [
+    # C_e - ca = C0 exactly: the fill stops before the tied facility
+    (_profile(17.0, 20.0, 19.0, 18.0), 3.0, 0.3, [0.0, 0.0, 0.0, 1.0]),
+    (_profile(17.0, 20.0, 19.0, 18.0), 1.0, 0.75, [0.25, 0.375, 0.0, 0.375]),
+    # a duplicate level whose mass runs out inside it, in profile order
+    (_profile(10.0, 12.0, 14.0, 14.0, 14.0), 0.5, 1.5, [0.0, 0.375, 0.375, 0.25, 0.0]),
+    # knees 0.25 + 0.5 + 0.25 sum to exactly 1 on the band constant 1/S_2 = 1
+    (_KNEES, 0.5, partition_by_cost(_KNEES).bands[-1], [0.25, 0.5, 0.25, 0.0]),
+    # facilities at and below C0 are not in the LP
+    (_profile(10.0, 9.0, 14.0, 10.0), 0.5, 1.0, [0.25, 0.75]),
+])
+def test_attacker_lp_optimum_on_ties(profile, ca, cd, sigmas):
+    """The fill's point on ties, sigma_none last, checked against both solvers."""
+    solve_attacker_lp(profile, CostParams(ca, cd))
+    fill = attacker_lp_optimum(profile, CostParams(ca, cd)).assignment
+    assert [value for label, value in fill.items() if label.startswith("sigma_")] == sigmas
+
+
+def test_attacker_lp_optimum_needs_a_cost_above_baseline():
+    profile = _profile(10.0, 9.0, 10.0)
+    with pytest.raises(EmptyVulnerableUniverse) as built:
+        build_attacker_lp(profile, CostParams(0.5, 1.0))
+    with pytest.raises(EmptyVulnerableUniverse) as filled:
+        attacker_lp_optimum(profile, CostParams(0.5, 1.0))
+    assert str(filled.value) == str(built.value)
 
 
 def test_simplex_takes_the_true_minimum_ratio():

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from facsec import cli, scenario
@@ -276,7 +278,7 @@ def test_cli_verify_golden(capsys):
     code, out = run_cli(capsys, "verify", "--scenario", str(THREE))
     assert code == 0
     assert out == (
-        "check lp: closed-form value 17.625, simplex 17.625 -- ok\n"
+        "check lp: closed-form value 17.625, LP optimum 17.625 -- ok\n"
         "check ne: mutual best responses within 1e-09 -- ok\n"
         "check spe: one LP per attacker response against the committed effort -- ok\n"
         "all checks passed\n"
@@ -325,6 +327,26 @@ def test_cli_verify_checks_eight_vulnerable_facilities(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", "--scenario", str(scn))
     assert code == 0, out
     assert "check spe: one LP per attacker response against the committed effort -- ok\n" in out
+
+
+def test_cli_verify_and_the_boundary_report_at_2000_facilities(capsys, tmp_path):
+    """The scenario of CI's 2000-facility step. The attacker LP is filled by its
+    structure, so each run takes well under a second of CPU time, where the dense
+    simplex took more than a minute. At ca = C(1) - C0 nothing is vulnerable and the exit-2
+    report puts all the mass on not attacking."""
+    costs = np.random.default_rng(2000).uniform(12.0, 18.0, size=2000).tolist()
+    facilities = "\n".join(f"f{t} {c!r}" for t, c in enumerate(costs))
+    scn = tmp_path / "large.scn"
+    for attack_cost, command, want in ((1.0, "verify", 0), (max(costs) - 10.0, "solve-ne", 2)):
+        scn.write_text(f"[facilities]\nbaseline_cost 10\n{facilities}\n"
+                       f"[costs]\nattack_cost {attack_cost!r}\ndefense_cost 0.05\n")
+        start = time.process_time()
+        code, out = run_cli(capsys, command, "--scenario", str(scn))
+        elapsed = time.process_time() - start
+        assert code == want, out
+        assert elapsed < 3.0, (command, elapsed)
+    assert out.startswith("regime: boundary\n") and "lp_value: 10\n" in out
+    assert out.endswith(" f1999=0 none=1\n")
 
 
 def test_cli_regimes_csv(capsys, tmp_path):

@@ -11,7 +11,6 @@ from facsec.sequential import (
     NonpositiveDenominator,
     OutOfDomain,
     SpeRegimeKind,
-    cd_ij,
     cd_threshold_tilde,
     cd_tilde_inverse,
     classify_regime_spe,
@@ -22,9 +21,10 @@ from conftest import random_game
 
 
 def test_cd_ij_golden(profile3):
-    assert cd_ij(profile3, 0.5, 3, 3) == pytest.approx(12 / 11, rel=1e-12)
-    assert cd_ij(profile3, 1.5, 2, 1) == pytest.approx(4.0, rel=1e-12)
-    assert cd_ij(profile3, 0.0, 3, 3) == pytest.approx(6 / 11, rel=1e-12)
+    partition = partition_by_cost(profile3)
+    assert partition.cd_ij(0.5, 3, 3) == pytest.approx(12 / 11, rel=1e-12)
+    assert partition.cd_ij(1.5, 2, 1) == pytest.approx(4.0, rel=1e-12)
+    assert partition.cd_ij(0.0, 3, 3) == pytest.approx(6 / 11, rel=1e-12)
 
 
 def test_tilde_piecewise_closed_forms(profile3):
@@ -101,7 +101,7 @@ def test_tilde_picks_the_lowest_piece_of_its_bracket():
             pieces = []
             for j in range(1, i + 1):
                 try:
-                    pieces.append(cd_ij(profile, ca, i, j))
+                    pieces.append(partition.cd_ij(ca, i, j))
                 except NonpositiveDenominator:
                     pieces.append(np.inf)
             value, lowest = cd_threshold_tilde(profile, ca), min(pieces)
