@@ -20,6 +20,8 @@ from .model import (
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
+    not_above,
+    on_boundary,
     partition_by_cost,
     vulnerable_set,
 )
@@ -92,21 +94,21 @@ def _check_relations(
 
     ud, uds = ne.defender_utility, spe.defender_utility
     ua, uas = ne.attacker_utility, spe.attacker_utility
-    if uds < ud - RELATION_TOL:
+    if not not_above(ud, uds, RELATION_TOL):
         fail("Uds >= Ud")
     if region in (CostRegion.LOW, CostRegion.HIGH, CostRegion.NO_VULNERABLE):
-        if abs(ua - uas) > RELATION_TOL:
+        if not on_boundary(ua, uas, RELATION_TOL):
             fail("Ua == Uas")
         for fac in profile.facility_ids:
-            if abs(ne.effort.get(fac) - spe.effort.get(fac)) > RELATION_TOL:
+            if not on_boundary(ne.effort.get(fac), spe.effort.get(fac), RELATION_TOL):
                 fail(f"identical effort on {fac!r}")
     if region is CostRegion.MEDIUM:
-        if ua < uas - RELATION_TOL:
+        if not not_above(uas, ua, RELATION_TOL):
             fail("Ua > Uas")
         for fac in vulnerable_set(profile, params.attack_cost):
-            if spe.effort.get(fac) < ne.effort.get(fac) - RELATION_TOL:
+            if not not_above(ne.effort.get(fac), spe.effort.get(fac), RELATION_TOL):
                 fail(f"commitment effort above simultaneous on {fac!r}")
-    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and abs(uds - ud) > RELATION_TOL:
+    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and not on_boundary(uds, ud, RELATION_TOL):
         fail("Ud == Uds")
 
 

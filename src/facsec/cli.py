@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
-from .model import CHECK_EPS, LP_AGREEMENT_TOL, TIE_TOL, EffortVector, expected_utilities
+from .model import CHECK_EPS, LP_AGREEMENT_TOL, TIE_TOL, EffortVector, expected_utilities, on_boundary
 from .normalform import BoundaryParameters, solve_ne
 from .oracle import attacker_lp_optimum, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
@@ -174,10 +174,10 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         bumped = effort.as_dict()
         bumped[target] = min(1.0, bumped[target] + args.perturb)
         effort = EffortVector.over(profile, bumped)
-        claimed_spe_ud += args.perturb
+        claimed_spe_ud += args.perturb * max(1.0, abs(claimed_spe_ud))  # relative; effort stays absolute
 
     closed = ne.attacker_utility + params.defense_cost * ne.effort.total
-    ok = abs(closed - lp_sol.value) <= LP_AGREEMENT_TOL
+    ok = on_boundary(closed, lp_sol.value, LP_AGREEMENT_TOL)
     lines.append(
         f"check lp: closed-form value {_fmt(closed)}, LP optimum {_fmt(lp_sol.value)}"
         f" -- {'ok' if ok else 'FAILED'}"
@@ -188,7 +188,7 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
     expected = expected_utilities(profile, params, effort, ne.attack)
     slack = max(args.eps, TIE_TOL)
     for name, claim, value in zip(("Ud", "Ua"), (ne.defender_utility, ne.attacker_utility), expected):
-        if not abs(claim - value) <= slack * max(1.0, abs(value)):
+        if not on_boundary(claim, value, slack):
             ne_failures.append(f"claimed {name} {claim!r} vs expected {value!r}")
     ok = ok and not ne_failures
     lines.append(
@@ -253,7 +253,7 @@ def _build_parser() -> _Parser:
     regimes.add_argument("--grid", required=True, help='grid "ca0:ca1:n,cd0:cd1:m" over (ca, cd)')
 
     verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE LPs")
-    verify.add_argument("--eps", type=float, default=CHECK_EPS, help="equilibrium tolerance")
+    verify.add_argument("--eps", type=float, default=CHECK_EPS, help="relative equilibrium tolerance")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="shift the candidate solutions to exercise the checks")
 

@@ -23,28 +23,28 @@ import numpy as np
 
 FacilityId = str
 
-# Tolerances: every float tolerance of the package, named once. "abs" bounds
-# a plain difference; "rel" bounds it after scaling by max(1, |x|, |y|), as
-# ``on_boundary`` does.
+# Tolerances: every float tolerance of the package, named once. "abs" bounds a
+# plain difference; "rel" bounds it after scaling by max(1, |x|, |y|), through
+# ``on_boundary`` or ``not_above``. Costs have no unit, so every cost test is "rel".
 #
 # abs: float dust forgiven when an effort or probability leaves [0, 1], or an
 # attack distribution's probabilities miss a sum of 1.
 PROB_SLACK = 1e-9
 # rel: a cost this close to a regime line lies on it; the closed forms decline.
 BOUNDARY_TOL = 1e-12
-# abs: slack of compare_games' cross-checks between the two games' solutions.
+# rel: slack of compare_games' cross-checks between the two games' solutions.
 RELATION_TOL = 1e-9
 # abs: simplex reduced costs and column entries at or below this are zero.
 PIVOT_TOL = 1e-9
 # abs: a phase-1 sum of artificials above this makes the LP infeasible.
 PHASE1_TOL = 1e-7
-# rel, scaled by max(1, |best|): attacker payoffs this close to the best one
-# are best responses; the oracles decide every attacker tie with it. Also the
-# least slack of `facsec verify` between claimed and expected NE utilities.
+# rel: attacker payoffs this close to the best one are best responses; the
+# oracles decide every attacker tie with it. Also the least slack of
+# `facsec verify` between claimed and expected NE utilities.
 TIE_TOL = 1e-12
-# abs: default slack of verify_ne and verify_spe, and of `facsec verify --eps`.
+# rel (abs on probabilities): default slack of verify_ne, verify_spe and `facsec verify --eps`.
 CHECK_EPS = 1e-9
-# abs: closed-form value vs the attacker LP's optimum (`attacker_lp_optimum`) in `facsec verify`.
+# rel: closed-form value vs the attacker LP's optimum (`attacker_lp_optimum`) in `facsec verify`.
 LP_AGREEMENT_TOL = 1e-8
 # abs: Lemke column entries at or below this do not bound a ratio test.
 LEMKE_PIVOT_TOL = 1e-12
@@ -59,17 +59,19 @@ STATE_SUM_TOL = 1e-12
 # End of tolerances.
 
 
-def on_boundary(x, line):
-    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``, on
-    numbers or arrays. Rounding is monotone, so testing the distance against each of
-    BOUNDARY_TOL*1, *|x| and *|line| decides as BOUNDARY_TOL*max(1, |x|, |line|) does."""
+def on_boundary(x, line, tol=BOUNDARY_TOL):
+    """True when ``x`` is within ``tol``, relative, of ``line``: the package's one closeness
+    rule, on numbers or arrays. Rounding is monotone, so testing the distance against each of
+    tol*1, *|x| and *|line| decides as tol*max(1, |x|, |line|) does; a NaN anywhere fails it."""
     d = abs(x - line)
-    return (d <= BOUNDARY_TOL) | (d <= BOUNDARY_TOL * abs(x)) | (d <= BOUNDARY_TOL * abs(line))
+    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line))
 
 
-def _not_above(x, line):
-    """x below ``line`` or on it; on numbers or arrays. It can only turn true as ``line`` rises."""
-    return (x < line) | on_boundary(x, line)
+def not_above(x, line, tol=BOUNDARY_TOL):
+    """x below ``line`` or ``on_boundary`` with it, on numbers or arrays; it can only turn true
+    as ``line`` rises. x - line < 0 exactly when x < line, and a NaN anywhere fails it."""
+    d = x - line
+    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line))
 
 
 def _count_above(negated: np.ndarray, x):
@@ -333,7 +335,7 @@ class FacilityPartition:
         regime changes below band k-1, the SPE regime below the curve, and the region
         between bands k and k-1, where its L/M line jumps. Band k separates NE regimes for
         k <= i, SPE regimes above the curve, and the region for k = i. The crossed edges
-        form one run, as do the band hits, and ``_not_above`` can only turn true as its
+        form one run, as do the band hits, and ``not_above`` can only turn true as its
         line rises, so each run is tested at its highest band or curve value."""
         (edges, bands), (neg_edges, neg_bands) = self._arrays[:2], self._negated
         i, first, stop = _near(neg_edges, ca)  # 0-based: edge k is edges[k-1]
@@ -343,15 +345,15 @@ class FacilityPartition:
         widest = _most(stop - first)
         if widest:  # some ca crosses level edges: those in its run beyond edge 1
             crossed = first < stop
-            under_top = crossed & _not_above(cd, bands[first - 1])  # the highest edge's band
+            under_top = crossed & not_above(cd, bands[first - 1])  # the highest edge's band
             peak = -math.inf  # the highest curve value at a crossed edge
             for t in range(widest):
                 x = edges[np.minimum(first + t, self.K - 1)]
                 value = self._curve_value(x, _count_above(neg_edges, x))
                 peak = np.where(first + t < stop, np.maximum(peak, value), peak)
             on_ne = on_ne | under_top
-            on_spe = on_spe | (crossed & _not_above(cd, peak))
-            boundary = boundary | (under_top & _not_above(bands[stop - 1], cd))
+            on_spe = on_spe | (crossed & not_above(cd, peak))
+            boundary = boundary | (under_top & not_above(bands[stop - 1], cd))
         curve = self._curve_value(ca, i)  # +inf at i = 0: the curve ends at C(1)-C0
         below, on_curve = (cd < curve) | edge1, (i > 0) & ~edge1 & on_boundary(cd, curve)
         band_hit = band_first < band_stop

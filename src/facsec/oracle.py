@@ -25,6 +25,8 @@ from .model import (
     EmptyVulnerableUniverse,
     FacilityId,
     FacilityProfile,
+    not_above,
+    on_boundary,
 )
 
 _MAX_PIVOTS = 10**6  # pivot budget of one simplex_solve call, over both phases
@@ -290,7 +292,7 @@ class BestResponseTable:
     """Pure-action attacker payoffs against a fixed effort vector.
 
     ``utilities`` covers every facility plus None for not attacking;
-    ``best_actions`` is the argmax set, ties within TIE_TOL.
+    ``best_actions`` is the argmax set, ties within TIE_TOL (``not_above``).
     """
 
     utilities: tuple[tuple[Optional[FacilityId], float], ...]
@@ -312,8 +314,7 @@ def attacker_best_response_enum(
         rows.append((fac, rho * c0 + (1.0 - rho) * ce - params.attack_cost))
     rows.append((None, c0))
     best = max(v for _, v in rows)
-    scale = max(1.0, abs(best))
-    winners = tuple(a for a, v in rows if v >= best - TIE_TOL * scale)
+    winners = tuple(a for a, v in rows if not_above(best, v, TIE_TOL))
     return BestResponseTable(tuple(rows), best, winners)
 
 
@@ -334,10 +335,11 @@ def verify_ne(
 
     Attacker side: every action carrying more than eps probability must come
     within eps of the best pure payoff against the effort vector. Defender
-    side: the marginal value of effort on each facility, (C0-Ce)*sigma_e + cd,
-    must have the sign its effort level dictates (>= 0 at zero effort, <= 0 at
-    full effort, ~ 0 in the interior). Every test is written so that a NaN,
-    in eps or in a payoff, fails it.
+    side: what effort on facility e saves, (Ce-C0)*sigma_e, must meet its cost
+    cd as the effort level dictates (at most cd at zero effort, at least cd at
+    full effort, ~ cd in the interior). Payoffs and costs are compared with
+    ``not_above`` and ``on_boundary``, relative to their size; a NaN, in eps
+    or in a payoff, fails every test.
     """
     failures: list[str] = []
     table = attacker_best_response_enum(profile, params, effort)
@@ -348,24 +350,24 @@ def verify_ne(
     if not attack.no_attack <= eps:
         support.append(None)
     for action in support:
-        if not utilities[action] >= table.best_value - eps:
+        if not not_above(table.best_value, utilities[action], eps):
             name = action if action is not None else "no-attack"
             failures.append(
                 f"attacker: supported action {name} pays {utilities[action]!r}"
                 f" vs best {table.best_value!r}"
             )
-    c0 = profile.baseline_cost
+    c0, cd = profile.baseline_cost, params.defense_cost
     for fac, ce in profile.facilities:
         rho = effort.get(fac)
-        coef = (c0 - ce) * attack.prob(fac) + params.defense_cost
+        saved = (ce - c0) * attack.prob(fac)
         if rho <= eps:
-            if not coef >= -eps:
-                failures.append(f"defender: effort 0 on {fac} but raising it pays (coef {coef!r})")
+            if not not_above(saved, cd, eps):
+                failures.append(f"defender: effort 0 on {fac} but raising it pays (saves {saved!r}, cd {cd!r})")
         elif rho >= 1.0 - eps:
-            if not coef <= eps:
-                failures.append(f"defender: effort 1 on {fac} but lowering it pays (coef {coef!r})")
-        elif not abs(coef) <= eps:
-            failures.append(f"defender: interior effort on {fac} not indifferent (coef {coef!r})")
+            if not not_above(cd, saved, eps):
+                failures.append(f"defender: effort 1 on {fac} but lowering it pays (saves {saved!r}, cd {cd!r})")
+        elif not on_boundary(saved, cd, eps):
+            failures.append(f"defender: interior effort on {fac} not indifferent (saves {saved!r}, cd {cd!r})")
     return VerificationResult(not failures, tuple(failures))
 
 
@@ -425,15 +427,15 @@ def verify_spe(
     the maximum of phi(t) = -t - cd*sum_f max(0, (C_f - t)/g_f) over [C0 + ca, C_e],
     which is concave and piecewise linear, so it lies at C0 + ca or at a kink C_f.
     The claimed utility must (a) be attained by the claimed effort against a
-    best-responding attacker and (b) not be beaten by any LP by more than eps;
-    a NaN claim or eps fails both.
+    best-responding attacker and (b) not be beaten by any LP by more than eps,
+    relative (``not_above``); a NaN claim or eps fails both.
     """
     c0, ca, cd = profile.baseline_cost, params.attack_cost, params.defense_cost
     vulnerable = [(fac, ce) for fac, ce in profile.facilities if ce - ca > c0]
     failures: list[str] = []
 
     attained = defender_utility_vs_br(profile, params, effort)
-    if not attained >= defender_utility - eps:
+    if not not_above(defender_utility, attained, eps):
         failures.append(
             f"claimed utility {defender_utility!r} not attained by the claimed effort"
             f" (re-evaluates to {attained!r})"
@@ -442,9 +444,9 @@ def verify_spe(
     values = _commitment_values(c0, ca, cd, [ce for _, ce in vulnerable])
     responses = ["no-attack", *(f"attack {fac}" for fac, _ in vulnerable)]
     for response, value in zip(responses, values):
-        if not value <= defender_utility + eps:
+        if not not_above(value, defender_utility, eps):
             failures.append(
                 f"committing to induce {response} beats the candidate:"
-                f" {value!r} > {defender_utility!r} + {eps!r}"
+                f" {value!r} > {defender_utility!r} by more than {eps!r} relative"
             )
     return VerificationResult(not failures, tuple(failures))

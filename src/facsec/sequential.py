@@ -21,7 +21,6 @@ from .model import (
     FacilityPartition,
     FacilityProfile,
     Location,
-    NonpositiveDenominator,
     on_boundary,
     partition_by_cost,
 )

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from facsec.model import CostParams, FacilityProfile, partition_by_cost
+from facsec.model import CostParams, FacilityProfile, NonpositiveDenominator, partition_by_cost
 from facsec.routing import AffineLatency, Edge, Route, RoutedNetwork
-from facsec.sequential import NonpositiveDenominator, OutOfDomain, cd_threshold_tilde
+from facsec.sequential import OutOfDomain, cd_threshold_tilde
 
 BOUNDARY_MARGIN = 1e-6
 
@@ -68,6 +68,14 @@ def off_boundary(profile: FacilityProfile, ca: float, cd: float, margin: float =
         if abs(cd - tilde) < margin:
             return False
     return True
+
+
+def scaled_game(profile: FacilityProfile, params: CostParams, lam: float):
+    """The instance with C0, every Ce, ca and cd times ``lam``. The game has no unit of
+    cost, so efforts and attack probabilities stay and every utility scales by lam."""
+    facilities = tuple((fac, cost * lam) for fac, cost in profile.facilities)
+    costs = CostParams(params.attack_cost * lam, params.defense_cost * lam)
+    return FacilityProfile(profile.baseline_cost * lam, facilities), costs
 
 
 def random_game(rng: np.random.Generator, max_n: int = 6, cost_hi: float = 25.0, require=None):

@@ -12,6 +12,8 @@ from facsec.model import (
     FacilityProfile,
     ModelError,
     expected_utilities,
+    not_above,
+    on_boundary,
     partition_by_cost,
     vulnerable_set,
 )
@@ -158,6 +160,24 @@ def test_utilities_are_bilinear_in_the_attack(profile3):
     ud_m, ua_m = expected_utilities(profile3, params, eff, mix)
     assert ud_m == pytest.approx(0.25 * ud_a + 0.75 * ud_b)
     assert ua_m == pytest.approx(0.25 * ua_a + 0.75 * ua_b)
+
+
+def test_the_closeness_rule_is_relative_and_fails_on_nan():
+    """``on_boundary`` scales tol by max(1, |x|, |line|), which for values of at most 1 is
+    the absolute test. ``not_above`` is "below, or on_boundary" wherever tol >= 0, and a
+    NaN, in either value or in tol, fails both, even where x < line."""
+    nan, inf = math.nan, math.inf
+    values = (-inf, -1e10, -1.0, -5e-324, 0.0, 5e-324, 1e-12, 0.5, 1.0, 1.0 + 1e-12, 1e10, 1e10 + 5.0)
+    values += (inf, nan)
+    for tol in (0.0, 1e-12, 1e-9, 1.0):
+        for x in values:
+            for y in values:
+                assert not_above(x, y, tol) == ((x < y) or on_boundary(x, y, tol)), (x, y, tol)
+                if abs(x) <= 1.0 and abs(y) <= 1.0:
+                    assert on_boundary(x, y, tol) == (abs(x - y) <= tol), (x, y, tol)
+    assert on_boundary(1e10, 1e10 + 5.0, 1e-9) and not on_boundary(1.0, 1.0 + 5e-9, 1e-9)
+    assert not_above(1e10 + 5.0, 1e10, 1e-9) and not not_above(1e10 + 50.0, 1e10, 1e-9)
+    assert not on_boundary(1.0, 1.0, nan) and not not_above(0.0, 1.0, nan)
 
 
 def test_small_float_literals_live_in_the_tolerance_table():

@@ -28,7 +28,7 @@ from facsec.oracle import (
 )
 from facsec.sequential import cd_threshold_tilde, solve_spe
 
-from conftest import random_game
+from conftest import random_game, scaled_game
 
 try:
     from scipy.optimize import linprog
@@ -482,6 +482,35 @@ def test_oracles_reject_a_nan_claim_or_tolerance(profile3):
     assert any("not attained" in f for f in claim.failures)
     assert any("beats the candidate" in f for f in claim.failures)
     assert not verify_spe(profile3, params, spe.effort, spe.defender_utility, eps=nan).ok
+    # A claim strictly better than attained is beaten by no LP, and one strictly worse is
+    # attained, yet with eps = nan both one-sided checks fail, whichever side the claim is on.
+    for shift in (0.1, -0.1):
+        res = verify_spe(profile3, params, spe.effort, spe.defender_utility + shift, eps=nan)
+        assert any("not attained" in f for f in res.failures), shift
+        assert any("beats the candidate" in f for f in res.failures), shift
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e6, 1e9, 1e10])
+def test_oracles_judge_every_cost_scale_alike(lam):
+    """Scaling every cost by lam keeps the efforts and attack probabilities and scales
+    the utilities, so no check may depend on the unit of cost: both oracles accept the
+    closed forms at every scale, verify_ne rejects a 1e-6 effort bump on the costliest
+    facility, and verify_spe a Uds 1e-6 off, relative, either way."""
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        profile, params = scaled_game(*random_game(rng), lam)
+        ne, spe = solve_ne(profile, params), solve_spe(profile, params)
+        ne_res = verify_ne(profile, params, ne.effort, ne.attack)
+        spe_res = verify_spe(profile, params, spe.effort, spe.defender_utility)
+        assert ne_res.ok and spe_res.ok, (profile, params, ne_res.failures, spe_res.failures)
+        top = max(profile.facilities, key=lambda item: item[1])[0]
+        bumped = ne.effort.as_dict()
+        bumped[top] += 1e-6 if bumped[top] <= 0.5 else -1e-6
+        bumped = EffortVector.over(profile, bumped)
+        assert not verify_ne(profile, params, bumped, ne.attack).ok, (profile, params)
+        for side in (1.0, -1.0):
+            claim = spe.defender_utility + side * 1e-6 * max(1.0, abs(spe.defender_utility))
+            assert not verify_spe(profile, params, spe.effort, claim).ok, (profile, params, side)
 
 
 def solve_attacker_lp(profile, params):

@@ -13,7 +13,10 @@ import pytest
 
 from facsec import cli, scenario
 from facsec.cli import main
+from facsec.model import CostParams, FacilityProfile
 from facsec.scenario import ScenarioError, load_scenario, parse_scenario
+
+from conftest import random_game, scaled_game
 
 REPO = Path(__file__).resolve().parent.parent
 THREE = REPO / "scenarios" / "three_facility.scn"
@@ -347,6 +350,28 @@ def test_cli_verify_and_the_boundary_report_at_2000_facilities(capsys, tmp_path)
         assert elapsed < 3.0, (command, elapsed)
     assert out.startswith("regime: boundary\n") and "lp_value: 10\n" in out
     assert out.endswith(" f1999=0 none=1\n")
+
+
+def _scenario_text(profile, params):
+    facilities = "\n".join(f"{fac} {cost!r}" for fac, cost in profile.facilities)
+    return (f"[facilities]\nbaseline_cost {profile.baseline_cost!r}\n{facilities}\n"
+            f"[costs]\nattack_cost {params.attack_cost!r}\ndefense_cost {params.defense_cost!r}\n")
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e6, 1e9])
+def test_cli_verify_judges_every_cost_scale_alike(capsys, tmp_path, lam):
+    """The game has no unit of cost, so neither may `verify`: with C0, every Ce, ca and cd
+    times lam, the CI 2000-facility profile and 20 random small instances pass every
+    check, and --perturb 0.02 fails each of them."""
+    costs = np.random.default_rng(2000).uniform(12.0, 18.0, size=2000).tolist()
+    large = FacilityProfile(10.0, tuple((f"f{t}", c) for t, c in enumerate(costs)))
+    rng = np.random.default_rng(19)
+    scn = tmp_path / "scaled.scn"
+    for game in [(large, CostParams(1.0, 0.05))] + [random_game(rng) for _ in range(20)]:
+        scn.write_text(_scenario_text(*scaled_game(*game, lam)))
+        for extra, want in (((), 0), (("--perturb", "0.02"), 3)):
+            code, out = run_cli(capsys, "verify", "--scenario", str(scn), *extra)
+            assert code == want, (lam, game[1], extra, out)
 
 
 def test_cli_regimes_csv(capsys, tmp_path):

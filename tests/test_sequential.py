@@ -3,12 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from facsec.model import CostParams, EffortVector, FacilityProfile, partition_by_cost
+from facsec.model import CostParams, EffortVector, FacilityProfile, NonpositiveDenominator, partition_by_cost
 from facsec.normalform import BoundaryParameters, solve_ne
 from facsec.oracle import attacker_best_response_enum, verify_spe
 from facsec.sequential import (
     BelowRange,
-    NonpositiveDenominator,
     OutOfDomain,
     SpeRegimeKind,
     cd_threshold_tilde,
