@@ -16,7 +16,8 @@ from typing import Optional, TextIO, Union
 import numpy as np
 
 from .model import (
-    RELATION_TOL,
+    CHECK_EPS,
+    PROB_SLACK,
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
@@ -94,21 +95,21 @@ def _check_relations(
 
     ud, uds = ne.defender_utility, spe.defender_utility
     ua, uas = ne.attacker_utility, spe.attacker_utility
-    if not not_above(ud, uds, RELATION_TOL):
+    if not not_above(ud, uds, CHECK_EPS):
         fail("Uds >= Ud")
     if region in (CostRegion.LOW, CostRegion.HIGH, CostRegion.NO_VULNERABLE):
-        if not on_boundary(ua, uas, RELATION_TOL):
+        if not on_boundary(ua, uas, CHECK_EPS):
             fail("Ua == Uas")
         for fac in profile.facility_ids:
-            if not on_boundary(ne.effort.get(fac), spe.effort.get(fac), RELATION_TOL):
+            if not on_boundary(ne.effort.get(fac), spe.effort.get(fac), PROB_SLACK):
                 fail(f"identical effort on {fac!r}")
     if region is CostRegion.MEDIUM:
-        if not not_above(uas, ua, RELATION_TOL):
+        if not not_above(uas, ua, CHECK_EPS):
             fail("Ua > Uas")
         for fac in vulnerable_set(profile, params.attack_cost):
-            if not not_above(ne.effort.get(fac), spe.effort.get(fac), RELATION_TOL):
+            if not not_above(ne.effort.get(fac), spe.effort.get(fac), PROB_SLACK):
                 fail(f"commitment effort above simultaneous on {fac!r}")
-    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and not on_boundary(uds, ud, RELATION_TOL):
+    if region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE) and not on_boundary(uds, ud, CHECK_EPS):
         fail("Ud == Uds")
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
-from .model import CHECK_EPS, LP_AGREEMENT_TOL, TIE_TOL, EffortVector, expected_utilities, on_boundary
+from .model import CHECK_EPS, TIE_TOL, EffortVector, expected_utilities, on_boundary
 from .normalform import BoundaryParameters, solve_ne
 from .oracle import attacker_lp_optimum, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
@@ -176,27 +176,27 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         effort = EffortVector.over(profile, bumped)
         claimed_spe_ud += args.perturb * max(1.0, abs(claimed_spe_ud))  # relative; effort stays absolute
 
+    tol = max(args.eps, TIE_TOL)  # the cost tolerance of all four checks
     closed = ne.attacker_utility + params.defense_cost * ne.effort.total
-    ok = on_boundary(closed, lp_sol.value, LP_AGREEMENT_TOL)
+    ok = on_boundary(closed, lp_sol.value, tol)
     lines.append(
         f"check lp: closed-form value {_fmt(closed)}, LP optimum {_fmt(lp_sol.value)}"
         f" -- {'ok' if ok else 'FAILED'}"
     )
 
     # best-response failures first, then the claimed (Ud, Ua) against their expected values
-    ne_failures = list(verify_ne(profile, params, effort, ne.attack, eps=args.eps).failures)
+    ne_failures = list(verify_ne(profile, params, effort, ne.attack, tol).failures)
     expected = expected_utilities(profile, params, effort, ne.attack)
-    slack = max(args.eps, TIE_TOL)
     for name, claim, value in zip(("Ud", "Ua"), (ne.defender_utility, ne.attacker_utility), expected):
-        if not on_boundary(claim, value, slack):
+        if not on_boundary(claim, value, tol):
             ne_failures.append(f"claimed {name} {claim!r} vs expected {value!r}")
     ok = ok and not ne_failures
     lines.append(
-        f"check ne: mutual best responses within {_fmt(args.eps)}"
+        f"check ne: mutual best responses within {_fmt(tol)}"
         f" -- {'FAILED -- ' + ne_failures[0] if ne_failures else 'ok'}"
     )
 
-    spe_res = verify_spe(profile, params, spe.effort, claimed_spe_ud, eps=args.eps)
+    spe_res = verify_spe(profile, params, spe.effort, claimed_spe_ud, tol)
     ok = ok and spe_res.ok
     lines.append(
         "check spe: one LP per attacker response against the committed effort"
@@ -241,7 +241,7 @@ def _build_parser() -> _Parser:
     def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario file path")
-        p.add_argument("--out", help="also write the output to this file")
+        p.add_argument("--out", help="write the output to this file: CSV only there, reports to stdout too")
         p.set_defaults(handler=handler)
         return p
 
@@ -253,7 +253,8 @@ def _build_parser() -> _Parser:
     regimes.add_argument("--grid", required=True, help='grid "ca0:ca1:n,cd0:cd1:m" over (ca, cd)')
 
     verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE LPs")
-    verify.add_argument("--eps", type=float, default=CHECK_EPS, help="relative equilibrium tolerance")
+    verify.add_argument("--eps", type=float, default=CHECK_EPS,
+                        help=f"relative cost tolerance; the checks use max(EPS, {TIE_TOL:g})")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="shift the candidate solutions to exercise the checks")
 

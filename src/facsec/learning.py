@@ -16,7 +16,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .model import LOAD_EPS, STATE_SUM_TOL, SUPPORT_SLACK
+from .model import LOAD_EPS, PROB_SLACK, SUPPORT_SLACK
 from .routing import (
     AffineLatency,
     FlowAssignment,
@@ -49,7 +49,7 @@ class StateDistribution:
             if p < 0.0:
                 raise LearningError(f"negative probability {p!r} for state {state!r}")
         total = sum(p for _, p in pairs)
-        if abs(total - 1.0) > STATE_SUM_TOL:
+        if abs(total - 1.0) > PROB_SLACK:
             raise LearningError(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", pairs)
 

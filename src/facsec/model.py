@@ -25,27 +25,25 @@ FacilityId = str
 
 # Tolerances: every float tolerance of the package, named once. "abs" bounds a
 # plain difference; "rel" bounds it after scaling by max(1, |x|, |y|), through
-# ``on_boundary`` or ``not_above``. Costs have no unit, so every cost test is "rel".
+# ``on_boundary`` or ``not_above``. Costs have no unit, so every cost test is "rel";
+# probabilities live in [0, 1], so every probability tolerance is PROB_SLACK.
 #
-# abs: float dust forgiven when an effort or probability leaves [0, 1], or an
-# attack distribution's probabilities miss a sum of 1.
+# abs: float dust forgiven when an effort or probability leaves [0, 1] or a distribution
+# misses a sum of 1; also verify_ne's support and effort 0/1 cuts and compare_games' efforts.
 PROB_SLACK = 1e-9
 # rel: a cost this close to a regime line lies on it; the closed forms decline.
 BOUNDARY_TOL = 1e-12
-# rel: slack of compare_games' cross-checks between the two games' solutions.
-RELATION_TOL = 1e-9
 # abs: simplex reduced costs and column entries at or below this are zero.
 PIVOT_TOL = 1e-9
 # abs: a phase-1 sum of artificials above this makes the LP infeasible.
 PHASE1_TOL = 1e-7
 # rel: attacker payoffs this close to the best one are best responses; the
-# oracles decide every attacker tie with it. Also the least slack of
-# `facsec verify` between claimed and expected NE utilities.
+# oracles decide every attacker tie with it. Also the floor of `facsec verify`'s
+# tolerance, max(--eps, TIE_TOL).
 TIE_TOL = 1e-12
-# rel (abs on probabilities): default slack of verify_ne, verify_spe and `facsec verify --eps`.
+# rel: default cost tolerance of verify_ne, verify_spe and `facsec verify --eps`;
+# compare_games' utility cross-checks use it too.
 CHECK_EPS = 1e-9
-# rel: closed-form value vs the attacker LP's optimum (`attacker_lp_optimum`) in `facsec verify`.
-LP_AGREEMENT_TOL = 1e-8
 # abs: Lemke column entries at or below this do not bound a ratio test.
 LEMKE_PIVOT_TOL = 1e-12
 # abs: a compromised edge latency may fall below the nominal one by this.
@@ -54,8 +52,6 @@ DOMINANCE_SLACK = 1e-12
 LOAD_EPS = 1e-9
 # abs: widens the noise band of the belief update's support check.
 SUPPORT_SLACK = 1e-12
-# abs: a state distribution's probabilities may miss a sum of 1 by this.
-STATE_SUM_TOL = 1e-12
 # End of tolerances.
 
 

@@ -19,6 +19,7 @@ from .model import (
     CHECK_EPS,
     PHASE1_TOL,
     PIVOT_TOL,
+    PROB_SLACK,
     TIE_TOL,
     CostParams,
     EffortVector,
@@ -333,21 +334,21 @@ def verify_ne(
 ) -> VerificationResult:
     """Check mutual best responses of (effort, attack) up to eps.
 
-    Attacker side: every action carrying more than eps probability must come
-    within eps of the best pure payoff against the effort vector. Defender
+    Attacker side: every action carrying more than PROB_SLACK probability must
+    come within eps of the best pure payoff against the effort vector. Defender
     side: what effort on facility e saves, (Ce-C0)*sigma_e, must meet its cost
-    cd as the effort level dictates (at most cd at zero effort, at least cd at
-    full effort, ~ cd in the interior). Payoffs and costs are compared with
-    ``not_above`` and ``on_boundary``, relative to their size; a NaN, in eps
-    or in a payoff, fails every test.
+    cd as the effort level dictates (at most cd at effort 0, at least cd at 1,
+    both within PROB_SLACK; ~ cd in the interior). eps judges payoffs and costs
+    only, relative to their size (``not_above``, ``on_boundary``); probabilities
+    are cut at PROB_SLACK whatever eps. A NaN, in eps or a payoff, fails every test.
     """
     failures: list[str] = []
     table = attacker_best_response_enum(profile, params, effort)
     utilities = dict(table.utilities)
     support: list[Optional[FacilityId]] = [
-        fac for fac, _ in profile.facilities if not attack.prob(fac) <= eps
+        fac for fac, _ in profile.facilities if attack.prob(fac) > PROB_SLACK
     ]
-    if not attack.no_attack <= eps:
+    if attack.no_attack > PROB_SLACK:
         support.append(None)
     for action in support:
         if not not_above(table.best_value, utilities[action], eps):
@@ -360,10 +361,10 @@ def verify_ne(
     for fac, ce in profile.facilities:
         rho = effort.get(fac)
         saved = (ce - c0) * attack.prob(fac)
-        if rho <= eps:
+        if rho <= PROB_SLACK:
             if not not_above(saved, cd, eps):
                 failures.append(f"defender: effort 0 on {fac} but raising it pays (saves {saved!r}, cd {cd!r})")
-        elif rho >= 1.0 - eps:
+        elif rho >= 1.0 - PROB_SLACK:
             if not not_above(cd, saved, eps):
                 failures.append(f"defender: effort 1 on {fac} but lowering it pays (saves {saved!r}, cd {cd!r})")
         elif not on_boundary(saved, cd, eps):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from facsec.learning import (
     state_distribution,
     write_trace_csv,
 )
-from facsec.model import LOAD_EPS, SUPPORT_SLACK, CostParams, FacilityProfile
+from facsec.model import LOAD_EPS, SUPPORT_SLACK, AttackDistribution, CostParams, EffortVector, FacilityProfile
 from facsec.normalform import solve_ne
 from facsec.routing import (
     AffineLatency,
@@ -85,6 +86,16 @@ def test_state_distribution_from_equilibria(profile3):
     tied = state_distribution(solve_ne(nine, CostParams(0.5, 100.0)))
     assert tied.prob(None) == 0.0
     assert [tied.prob(f"e{t}") for t in range(9)] == [1 / 9] * 9
+
+
+def test_state_distribution_takes_every_attack_the_model_accepts():
+    """AttackDistribution forgives a sum 5e-10 off 1 (PROB_SLACK); so does the
+    state distribution built from it."""
+    profile = FacilityProfile(10.0, (("a", 20.0), ("b", 14.0)))
+    attack = AttackDistribution.over(profile, {"a": 0.25, "b": 0.25}, no_attack=0.5 + 5e-10)
+    eq = SimpleNamespace(effort=EffortVector.over(profile, {"a": 0.5}), attack=attack)
+    dist = state_distribution(eq)
+    assert dist.as_dict() == {"a": 0.125, "b": 0.25, None: 0.625 + 5e-10}
 
 
 def test_belief_mixed_latencies(cal_network):

@@ -490,6 +490,22 @@ def test_oracles_reject_a_nan_claim_or_tolerance(profile3):
         assert any("beats the candidate" in f for f in res.failures), shift
 
 
+def test_verify_ne_judges_probabilities_as_probabilities():
+    """eps is a cost tolerance: a loose eps must not drop an action from the support.
+    Attacking a behind full effort pays 9 against 10 for not attacking, so 4 % on a is
+    not a best response, whatever eps says about costs."""
+    profile = FacilityProfile(10.0, (("a", 20.0),))
+    params = CostParams(1.0, 0.3)
+    effort = EffortVector.over(profile, {"a": 1.0})
+    attack = AttackDistribution.over(profile, {"a": 0.04})
+    res = verify_ne(profile, params, effort, attack, eps=0.05)
+    assert not res.ok
+    assert any(f.startswith("attacker: supported action a ") for f in res.failures), res.failures
+    # a NaN eps still fails every cost test: both supported actions and the effort on a
+    res = verify_ne(profile, params, effort, attack, eps=float("nan"))
+    assert len(res.failures) == 3, res.failures
+
+
 @pytest.mark.parametrize("lam", [1.0, 1e3, 1e6, 1e9, 1e10])
 def test_oracles_judge_every_cost_scale_alike(lam):
     """Scaling every cost by lam keeps the efforts and attack probabilities and scales

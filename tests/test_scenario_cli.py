@@ -323,6 +323,26 @@ def test_cli_verify_checks_the_claimed_ne_utilities(capsys, monkeypatch):
     assert code == 0, out
 
 
+def test_cli_verify_eps_reaches_the_lp_check(capsys, monkeypatch):
+    """--eps is the cost tolerance of every check, the attacker LP's included, floored
+    at 1e-12: an LP optimum 5e-9 off, relative, fails by default and passes at 1e-8."""
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--eps", "0")
+    assert code == 0, out
+    assert "check ne: mutual best responses within 1e-12 -- ok\n" in out
+    lp_optimum = cli.attacker_lp_optimum
+
+    def off_optimum(profile, params):
+        sol = lp_optimum(profile, params)
+        return dataclasses.replace(sol, value=sol.value * (1.0 + 5e-9))
+
+    monkeypatch.setattr(cli, "attacker_lp_optimum", off_optimum)
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE))
+    assert code == 3
+    assert out.startswith("check lp: closed-form value 17.625, LP optimum 17.6250001 -- FAILED\n"), out
+    code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--eps", "1e-8")
+    assert code == 0, out
+
+
 def test_cli_verify_checks_eight_vulnerable_facilities(capsys, tmp_path):
     costs = "\n".join(f"f{i} {12.0 + 1.5 * i}" for i in range(8))
     scn = tmp_path / "eight.scn"
