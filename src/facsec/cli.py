@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
 from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
-from .model import CHECK_EPS, TIE_TOL, EffortVector, expected_utilities, on_boundary
+from .model import BOUNDARY_TOL, CHECK_EPS, EffortVector, expected_utilities, on_boundary
 from .normalform import BoundaryParameters, solve_ne
 from .oracle import attacker_lp_optimum, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
@@ -176,7 +176,7 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         effort = EffortVector.over(profile, bumped)
         claimed_spe_ud += args.perturb * max(1.0, abs(claimed_spe_ud))  # relative; effort stays absolute
 
-    tol = max(args.eps, TIE_TOL)  # the cost tolerance of all four checks
+    tol = max(args.eps, BOUNDARY_TOL)  # the cost tolerance of all four checks
     closed = ne.attacker_utility + params.defense_cost * ne.effort.total
     ok = on_boundary(closed, lp_sol.value, tol)
     lines.append(
@@ -254,7 +254,7 @@ def _build_parser() -> _Parser:
 
     verify = command("verify", _cmd_verify, "oracle checks: LP value, NE epsilon, SPE LPs")
     verify.add_argument("--eps", type=float, default=CHECK_EPS,
-                        help=f"relative cost tolerance; the checks use max(EPS, {TIE_TOL:g})")
+                        help=f"relative cost tolerance; the checks use max(EPS, {BOUNDARY_TOL:g})")
     verify.add_argument("--perturb", type=float, default=0.0,
                         help="shift the candidate solutions to exercise the checks")
 

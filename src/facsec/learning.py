@@ -16,7 +16,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .model import LOAD_EPS, PROB_SLACK, SUPPORT_SLACK
+from .model import BOUNDARY_TOL, PROB_SLACK
 from .routing import (
     AffineLatency,
     FlowAssignment,
@@ -146,7 +146,7 @@ def _plan_stage(
         raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
     flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
     loads = flow.edge_loads
-    observed = tuple(eid for eid in network.edge_ids if loads[eid] > LOAD_EPS)
+    observed = tuple(eid for eid in network.edge_ids if loads[eid] > PROB_SLACK * network.demand)
 
     def at_loads(state: State) -> list[float]:
         lat = latencies_for_state(network, state)
@@ -183,8 +183,9 @@ def _play_block(
     b = plan.noise_half_width
     n = len(plan.observed)
     start = rng.bit_generator.state
+    band = b + BOUNDARY_TOL * np.maximum(1.0, np.abs(plan.predicted) + b)
     obs = plan.truth + rng.uniform(-b, b, size=(stages, n))
-    survives = (np.abs(obs[:, None, :] - plan.predicted) <= b + SUPPORT_SLACK).all(axis=2)
+    survives = (np.abs(obs[:, None, :] - plan.predicted) <= band).all(axis=2)
     kept = survives[:, plan.positive]
     degenerate = ~kept.any(axis=1)
     changes = np.flatnonzero(~kept.all(axis=1) & ~degenerate)
@@ -212,10 +213,12 @@ def stage_step(
 
     Observed costs are true-state latency at the realized load plus uniform
     noise on [-b, b], drawn independently per observed edge, in edge order.
-    States whose prediction misses an observation by more than b are
-    eliminated; if no state survives, the belief is kept and the stage flagged
-    degenerate. When nothing is eliminated the belief object is returned
-    unchanged (the all-ones likelihood cancels in the normalization).
+    States whose prediction misses an observation by more than b, widened by
+    BOUNDARY_TOL at the scale of the latencies so that rounding never rules
+    out the realized state, are eliminated; if no state survives, the belief
+    is kept and the stage flagged degenerate. When nothing is eliminated the
+    belief object is returned unchanged (the all-ones likelihood cancels in
+    the normalization).
     """
     plan = _plan_stage(belief, network, noise_half_width, realized_state)
     obs, degenerate, posterior = _play_block(plan, rng, 1)

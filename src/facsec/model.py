@@ -25,33 +25,28 @@ FacilityId = str
 
 # Tolerances: every float tolerance of the package, named once. "abs" bounds a
 # plain difference; "rel" bounds it after scaling by max(1, |x|, |y|), through
-# ``on_boundary`` or ``not_above``. Costs have no unit, so every cost test is "rel";
-# probabilities live in [0, 1], so every probability tolerance is PROB_SLACK.
+# ``on_boundary`` or ``not_above``. Costs and latencies have no unit, so every
+# cost test is "rel"; probabilities and load shares live in [0, 1], so their
+# tolerance is PROB_SLACK. Besides it, only the three pivot thresholds are absolute.
 #
 # abs: float dust forgiven when an effort or probability leaves [0, 1] or a distribution
-# misses a sum of 1; also verify_ne's support and effort 0/1 cuts and compare_games' efforts.
+# misses a sum of 1; also verify_ne's support and effort 0/1 cuts, compare_games' efforts,
+# and the share of the demand above which an edge's load is observed by the travelers.
 PROB_SLACK = 1e-9
-# rel: a cost this close to a regime line lies on it; the closed forms decline.
+# rel: a cost this close to a regime line lies on it; the closed forms decline. Attacker
+# payoffs this close to the best one tie with it, a compromised latency may fall this
+# far below the nominal one, the belief update widens its noise band by it, and it is
+# the floor of `facsec verify`'s tolerance, max(--eps, BOUNDARY_TOL).
 BOUNDARY_TOL = 1e-12
 # abs: simplex reduced costs and column entries at or below this are zero.
 PIVOT_TOL = 1e-9
 # abs: a phase-1 sum of artificials above this makes the LP infeasible.
 PHASE1_TOL = 1e-7
-# rel: attacker payoffs this close to the best one are best responses; the
-# oracles decide every attacker tie with it. Also the floor of `facsec verify`'s
-# tolerance, max(--eps, TIE_TOL).
-TIE_TOL = 1e-12
 # rel: default cost tolerance of verify_ne, verify_spe and `facsec verify --eps`;
 # compare_games' utility cross-checks use it too.
 CHECK_EPS = 1e-9
 # abs: Lemke column entries at or below this do not bound a ratio test.
 LEMKE_PIVOT_TOL = 1e-12
-# abs: a compromised edge latency may fall below the nominal one by this.
-DOMINANCE_SLACK = 1e-12
-# abs: edges loaded above this are observed by the travelers.
-LOAD_EPS = 1e-9
-# abs: widens the noise band of the belief update's support check.
-SUPPORT_SLACK = 1e-12
 # End of tolerances.
 
 

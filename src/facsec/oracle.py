@@ -20,7 +20,6 @@ from .model import (
     PHASE1_TOL,
     PIVOT_TOL,
     PROB_SLACK,
-    TIE_TOL,
     CostParams,
     EffortVector,
     EmptyVulnerableUniverse,
@@ -293,7 +292,7 @@ class BestResponseTable:
     """Pure-action attacker payoffs against a fixed effort vector.
 
     ``utilities`` covers every facility plus None for not attacking;
-    ``best_actions`` is the argmax set, ties within TIE_TOL (``not_above``).
+    ``best_actions`` is the argmax set, ties within BOUNDARY_TOL (``not_above``).
     """
 
     utilities: tuple[tuple[Optional[FacilityId], float], ...]
@@ -315,7 +314,7 @@ def attacker_best_response_enum(
         rows.append((fac, rho * c0 + (1.0 - rho) * ce - params.attack_cost))
     rows.append((None, c0))
     best = max(v for _, v in rows)
-    winners = tuple(a for a, v in rows if not_above(best, v, TIE_TOL))
+    winners = tuple(a for a, v in rows if not_above(best, v))
     return BestResponseTable(tuple(rows), best, winners)
 
 

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .model import DOMINANCE_SLACK, LEMKE_PIVOT_TOL
+from .model import LEMKE_PIVOT_TOL, not_above
 
 _PIVOT_BUDGET = 20  # pivots allowed per LCP row before giving up
 
@@ -51,8 +51,9 @@ class Route:
 class RoutedNetwork:
     """Parallel routes over shared edges with inelastic demand.
 
-    Compromised latencies must dominate nominal ones pointwise on [0, demand];
-    for affine functions checking both endpoints suffices.
+    Compromised latencies must dominate nominal ones pointwise on [0, demand],
+    up to rounding (``not_above``); for affine functions checking both
+    endpoints suffices.
     """
 
     edges: tuple[Edge, ...]
@@ -82,7 +83,7 @@ class RoutedNetwork:
                 if lat.slope < 0.0 or lat.intercept < 0.0:
                     raise NetworkError(f"edge {edge.edge_id!r} has negative latency coefficients")
             for w in (0.0, self.demand):
-                if edge.compromised(w) < edge.nominal(w) - DOMINANCE_SLACK:
+                if not not_above(edge.nominal(w), edge.compromised(w)):
                     raise NetworkError(
                         f"edge {edge.edge_id!r}: compromised latency below nominal at load {w}"
                     )

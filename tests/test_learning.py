@@ -19,7 +19,7 @@ from facsec.learning import (
     state_distribution,
     write_trace_csv,
 )
-from facsec.model import LOAD_EPS, SUPPORT_SLACK, AttackDistribution, CostParams, EffortVector, FacilityProfile
+from facsec.model import BOUNDARY_TOL, PROB_SLACK, AttackDistribution, CostParams, EffortVector, FacilityProfile
 from facsec.normalform import solve_ne
 from facsec.routing import (
     AffineLatency,
@@ -296,16 +296,18 @@ def scalar_stage_step(belief, network, noise_half_width, realized_state, rng):
     observations = {}
     for eid in network.edge_ids:
         load = flow.edge_loads[eid]
-        if load > LOAD_EPS:
+        if load > PROB_SLACK * network.demand:
             noise = float(rng.uniform(-noise_half_width, noise_half_width))
             observations[eid] = true_lat[eid](load) + noise
-    band = noise_half_width + SUPPORT_SLACK
+
+    def within_band(obs, predicted):
+        b = noise_half_width
+        return abs(obs - predicted) <= b + BOUNDARY_TOL * max(1.0, abs(predicted) + b)
+
     masses, eliminated = [], False
     for state, theta in belief.probs:
         lat = latencies_for_state(network, state)
-        survives = all(
-            abs(obs - lat[eid](flow.edge_loads[eid])) <= band for eid, obs in observations.items()
-        )
+        survives = all(within_band(obs, lat[eid](flow.edge_loads[eid])) for eid, obs in observations.items())
         masses.append(theta if survives else 0.0)
         eliminated |= not survives and theta > 0.0
     if not eliminated:
@@ -427,9 +429,10 @@ def test_run_simulation_matches_the_reference_across_blocks(monkeypatch):
         trace = assert_matches_the_scalar_reference(SimulationConfig(near, prior, none, 1.0, block + 8, seed))
         assert belief_changes(trace) == [stage]
 
-    # Latencies near 1e6 have a spacing of 1.2e-10, wider than the noise band:
-    # the observation rounds off the truth on about 4 stages in 10, which rules
-    # out every state and so is degenerate, within blocks and across them.
+    # Latencies near 1e6 have a spacing of 1.2e-10, wider than the noise band,
+    # so the observation rounds off the truth on about 4 stages in 10. The band
+    # is widened at the scale of the latencies, so the realized state survives
+    # every stage and none is degenerate, within blocks or across them.
     far = RoutedNetwork(
         (Edge("g0", AffineLatency(1.0, 1e6), AffineLatency(1.0, 1e6 + 5.0)),), (Route("p0", ("g0",)),), 1.0
     )
@@ -437,8 +440,7 @@ def test_run_simulation_matches_the_reference_across_blocks(monkeypatch):
     segments = trace.records.segments
     assert belief_changes(trace) == [1]
     assert [(seg.first, len(seg.degenerate)) for seg in segments] == [(1, 1), (2, block), (block + 2, 7)]
-    assert 0.3 * block < sum(rec.degenerate for rec in trace.records) < 0.5 * block
-    assert segments[1].degenerate[-1] and segments[2].degenerate[0]
+    assert not any(rec.degenerate for rec in trace.records)
 
     # nothing is routed, so nothing is observed and every block plays through
     empty = single_edge_net(demand=0.0)

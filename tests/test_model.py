@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from facsec.model import (
+    PROB_SLACK,
     AttackDistribution,
     CostParams,
     EffortVector,
@@ -127,6 +128,14 @@ def test_attack_distribution_residual_and_support(profile3):
         AttackDistribution.over(profile3, {"e1": 0.8, "e2": 0.8})
 
 
+def test_attack_distribution_rejects_a_bad_sum_or_an_unknown_facility(profile3):
+    AttackDistribution((("e1", 0.5), ("e2", 0.5)), PROB_SLACK / 2)  # float dust
+    with pytest.raises(ModelError, match=r"^attack probabilities sum to 1\.000000002, expected 1$"):
+        AttackDistribution((("e1", 0.5), ("e2", 0.5)), 2 * PROB_SLACK)
+    with pytest.raises(ModelError, match=r"^attack prob on unknown facilities: \['ghost'\]$"):
+        AttackDistribution.over(profile3, {"e1": 0.5, "ghost": 0.5})
+
+
 def test_expected_utilities_pure_cases(profile3):
     params = CostParams(0.5, 0.3)
     none = EffortVector.over(profile3)
@@ -180,14 +189,23 @@ def test_the_closeness_rule_is_relative_and_fails_on_nan():
     assert not on_boundary(1.0, 1.0, nan) and not not_above(0.0, 1.0, nan)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "facsec"
+
+
+def tolerance_table():
+    """The 1-based line numbers of the first and last lines of model.py's tolerance
+    table, and its lines."""
+    lines = (SRC / "model.py").read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if line.startswith("# Tolerances:"))
+    last = lines.index("# End of tolerances.")
+    return first + 1, last + 1, lines[first : last + 1]
+
+
 def test_small_float_literals_live_in_the_tolerance_table():
     """Every float literal in (0, 1e-6] of the package sits in model.py's tolerance table."""
-    src = Path(__file__).resolve().parents[1] / "src" / "facsec"
-    model_lines = (src / "model.py").read_text().splitlines()
-    first = 1 + next(k for k, line in enumerate(model_lines) if line.startswith("# Tolerances:"))
-    last = 1 + model_lines.index("# End of tolerances.")
+    first, last, _ = tolerance_table()
     stray = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         with open(path, "rb") as fh:
             for tok in tokenize.tokenize(fh.readline):
                 if tok.type != tokenize.NUMBER or tok.string[-1] in "jJ":
@@ -196,3 +214,20 @@ def test_small_float_literals_live_in_the_tolerance_table():
                 if 0.0 < float(tok.string) <= 1e-6 and not in_table:
                     stray.append(f"{path.name}:{tok.start[0]} {tok.string}")
     assert not stray, stray
+
+
+def test_the_tolerance_table_keeps_its_policy():
+    """Each constant's comment opens with "rel:" or "abs:". Costs have no unit, so only
+    the probability slack and the three pivot thresholds may be absolute."""
+    kinds, comment = {}, []
+    for line in tolerance_table()[2]:
+        if line == "#":  # the end of the table's heading
+            comment = []
+        elif line.startswith("#"):
+            comment.append(line)
+        elif " = " in line:
+            kinds[line.split(" = ")[0]] = comment[0][2:6] if comment else None
+            comment = []
+    assert kinds and all(kind in ("rel:", "abs:") for kind in kinds.values()), kinds
+    absolute = {name for name, kind in kinds.items() if kind == "abs:"}
+    assert absolute == {"PROB_SLACK", "PIVOT_TOL", "PHASE1_TOL", "LEMKE_PIVOT_TOL"}

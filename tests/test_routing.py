@@ -47,6 +47,20 @@ def test_network_validation():
         RoutedNetwork((Edge("a", lat, lat), Edge("a", lat, lat)), (Route("p", ("a",)),), 1.0)
 
 
+def test_dominance_is_judged_relative_to_the_latencies():
+    # Latencies have no unit: a compromised intercept 2**-45 of the latency below
+    # the nominal one is rounding at every scale 2**k (an absolute slack of 1e-12
+    # rejected it from k = 6 on), and a gap of one half is rejected at every scale.
+    def edge_network(scale, gap):
+        edge = Edge("a", AffineLatency(scale, scale), AffineLatency(scale, scale * (1.0 - gap)))
+        return RoutedNetwork((edge,), (Route("p", ("a",)),), 1.0)
+
+    for k in range(61):
+        edge_network(2.0**k, 2.0**-45)
+        with pytest.raises(NetworkError, match="compromised latency below nominal at load 0.0"):
+            edge_network(2.0**k, 0.5)
+
+
 def test_latencies_for_state(cal_network):
     nominal = latencies_for_state(cal_network, None)
     assert nominal["e2"](1.0) == 3.0

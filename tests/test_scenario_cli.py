@@ -14,6 +14,7 @@ import pytest
 from facsec import cli, scenario
 from facsec.cli import main
 from facsec.model import CostParams, FacilityProfile
+from facsec.routing import usage_cost_for_state
 from facsec.scenario import ScenarioError, load_scenario, parse_scenario
 
 from conftest import random_game, scaled_game
@@ -45,6 +46,20 @@ def test_parse_shipped_scenario():
     assert scn.learning.true_state == "ne"
     assert scn.learning.noise_half_width == 3.0
     assert scn.learning.prior.prob("e2") == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_shipped_scenarios_declare_the_costs_their_network_gives():
+    """C0 is the intact network's equilibrium usage cost and C_e the one with edge e
+    compromised (``usage_cost_for_state``), exactly. Only facilities that name an edge
+    are checked: a facility may stand for something the network does not model."""
+    paths = sorted((REPO / "scenarios").glob("*.scn"))
+    assert [path.name for path in paths] == ["lockin.scn", "three_facility.scn"]
+    for path in paths:
+        scn = load_scenario(str(path))
+        assert scn.profile.baseline_cost == usage_cost_for_state(scn.network, None), path.name
+        for fac, cost in scn.profile.facilities:
+            if fac in scn.network.edge_ids:
+                assert cost == usage_cost_for_state(scn.network, fac), (path.name, fac)
 
 
 def test_defaults_without_learning_extras():
@@ -163,6 +178,25 @@ def grammar_cases():
     yield pytest.param(lines[3:], ": missing [facilities] section", id="missing-facilities")
     yield pytest.param(lines[:3] + lines[6:], ": missing [costs] section", id="missing-costs")
 
+    def replaced(old, *new):
+        n = lines.index(old)
+        return lines[:n] + list(new) + lines[n + 1:]
+
+    # the input checks past the grammar: the value checks of [learning] and of one token,
+    # and the network's, anchored at its section header
+    learning, network = SECTION_AT["learning"], SECTION_AT["network"]
+    yield pytest.param(replaced("noise_half_width 1", "noise_half_width 0"),
+                       f":{learning}: noise_half_width must be positive", id="zero-noise")
+    yield pytest.param(replaced("horizon 5", "horizon 0"), f":{learning}: horizon must be at least 1",
+                       id="zero-horizon")
+    yield pytest.param(replaced("prior none 1"), f":{learning}: missing prior rows", id="no-prior")
+    yield pytest.param(replaced("a 8", "a nan"), ":3: non-finite number 'nan'", id="nan")
+    yield pytest.param(replaced("demand 4", "demand inf"), ":8: non-finite number 'inf'", id="inf")
+    yield pytest.param(replaced("route r x", "route r x", "route r x"), f":{network}: duplicate route ids",
+                       id="repeated-route")
+    yield pytest.param(replaced("edge x 1 0 1 2", "edge x 1 0 -1 2"),
+                       f":{network}: edge 'x' has negative latency coefficients", id="negative-edge")
+
 
 @pytest.mark.parametrize("lines, message", grammar_cases())
 def test_grammar_messages(lines, message):
@@ -226,6 +260,14 @@ def test_cli_solve_spe_conceding(capsys, tmp_path):
     assert "admissible: e1 e2\n" in out
     assert "Uds: -19.5\n" in out
     assert "Uas: 18.5\n" in out
+
+
+def test_cli_solve_spe_with_nothing_vulnerable(capsys, tmp_path):
+    scn = patched(tmp_path, "novuln.scn", "attack_cost 0.5", "attack_cost 4")
+    code, out = run_cli(capsys, "solve-spe", "--scenario", scn)
+    assert code == 0
+    assert out.startswith("regime: I~-0\nno vulnerable facilities; no attack\n")
+    assert "attack: e1=0 e2=0 e3=0 none=1\n" in out
 
 
 def test_cli_compare_golden(capsys):
@@ -439,6 +481,16 @@ def test_cli_simulate_deterministic(capsys, tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == "# seed=13 true_state=none"
     assert len(lines) == 2 + 50
+
+
+def test_cli_simulate_an_edge_as_the_true_state(capsys, tmp_path):
+    path = tmp_path / "e2.scn"
+    path.write_text(LOCKIN.read_text().replace("true_state none", "true_state e2"))
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--seed", "5", "--horizon", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# seed=5 true_state=e2"
+    assert len(lines) == 2 + 3
 
 
 SIMULATE_GOLDEN = {
