@@ -227,7 +227,7 @@ def regime_sweep(
     # NeRegime.at and SpeRegime.at, cell by cell, as regime codes
     ne = np.where(loc.on_ne_line, 2 * K + 1, np.where(j > i, i, K + j))
     spe = np.where(loc.on_spe_line, 2 * K + 1, np.where(loc.below_curve, i, K + j))
-    cells = np.broadcast_arrays(ca[:, None], cd)
+    cells = np.meshgrid(ca, cd, indexing="ij", copy=False)
     ne_labels, ud, ua = _regime_columns(NeRegime, RegimeKind, _ne_utilities, partition, ne, *cells)
     spe_labels, uds, uas = _regime_columns(SpeRegime, SpeRegimeKind, _spe_utilities, partition, spe, *cells)
     return SweepGrid(ca, cd, ne_labels, spe_labels, loc.region, ud, uds, ua, uas)

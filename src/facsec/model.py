@@ -16,7 +16,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -166,12 +165,6 @@ class CostParams:
 
 
 @dataclass(frozen=True)
-class CostLevel:
-    cost: float
-    members: tuple[FacilityId, ...]
-
-
-@dataclass(frozen=True)
 class Location:
     """Where (ca, cd) lies in the regime diagram of a partition."""
 
@@ -195,70 +188,45 @@ class LocationGrid:
     on_spe_line: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FacilityPartition:
-    """Facilities with increased post-attack cost, grouped by distinct cost level.
+    """Facilities with increased post-attack cost, grouped by distinct cost level, and
+    the per-level constants of the regime diagram, built once by ``partition_by_cost``.
 
     Levels are sorted by strictly decreasing cost; every level cost exceeds the
-    baseline. Group k (1-based) in the comments elsewhere refers to
-    ``levels[k-1]``.
+    baseline. Level k (1-based) in the comments elsewhere is ``members[k-1]``. Every
+    constant is a read-only numpy array, per level k = 1..K or, for the prefix
+    sums, per k = 0..K; scalar code reads it as Python numbers (``.item()``, ``.tolist()``).
     """
 
     baseline_cost: float
-    levels: tuple[CostLevel, ...]
+    members: tuple[tuple[FacilityId, ...], ...]
+    level_costs: np.ndarray  # C(k)
+    level_sizes: np.ndarray  # E(k), the number of members, as integers
+    edges: np.ndarray  # C(k)-C0: the attack costs where regimes switch
+    bands: np.ndarray  # 1/S_k, decreasing in k: the defense costs where regimes switch
+    prefix_ratios: np.ndarray  # S_k, the prefix sums of E(k)/(C(k)-C0), from S_0 = 0
+    prefix_sizes: np.ndarray  # N_k, the members of levels 1..k, from N_0 = 0, as integers
+    # T_j = N_{j-1} - (C(j)-C0)*S_{j-1} from T_0 = T_1 = 0, what conceding down to level j
+    # spends per unit of defense cost: effort (C(k)-C(j))/(C(k)-C0) on each member of a
+    # level k < j. Summed from the steps (C(j-1)-C(j))*S_{j-1} >= 0.
+    concession_spends: np.ndarray
+    # what rounding took off each edge, (C(k)-C0) - edges[k-1], exactly (Fast2Sum, as C(k) > C0)
+    edge_errors: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def K(self) -> int:
-        return len(self.levels)
-
-    @cached_property
-    def level_costs(self) -> tuple[float, ...]:
-        return tuple(level.cost for level in self.levels)
-
-    @cached_property
-    def level_sizes(self) -> tuple[int, ...]:
-        return tuple(len(level.members) for level in self.levels)
-
-    @cached_property
-    def edges(self) -> tuple[float, ...]:
-        """Cost increase C(k)-C0 per level: the attack costs where regimes switch."""
-        return tuple(cost - self.baseline_cost for cost in self.level_costs)
-
-    @cached_property
-    def prefix_ratios(self) -> tuple[float, ...]:
-        """S_k, the prefix sums of E(k)/(C(k)-C0), from S_0 = 0."""
-        return (0.0, *accumulate(size / edge for size, edge in zip(self.level_sizes, self.edges)))
-
-    @cached_property
-    def bands(self) -> tuple[float, ...]:
-        """Band constants 1/S_k, decreasing in k: the defense costs where regimes switch."""
-        return tuple(1.0 / s for s in self.prefix_ratios[1:])
-
-    @cached_property
-    def prefix_sizes(self) -> tuple[int, ...]:
-        """N_k, the number of facilities in levels 1..k, from N_0 = 0."""
-        return (0, *accumulate(self.level_sizes))
-
-    @cached_property
-    def concession_spends(self) -> tuple[float, ...]:
-        """T_j = N_{j-1} - (C(j)-C0)*S_{j-1} from T_0 = T_1 = 0, what conceding down to
-        level j spends per unit of defense cost: effort (C(k)-C(j))/(C(k)-C0) on each
-        member of a level k < j. Summed from the steps (C(j-1)-C(j))*S_{j-1} >= 0."""
-        costs = self.level_costs
-        return (0.0, 0.0, *accumulate((a - b) * s for a, b, s in zip(costs, costs[1:], self.prefix_ratios[1:])))
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        """Edges and bands for k = 1..K, S_k, N_k and T_k for k = 0..K, and what rounding
-        took off each edge, (C(k)-C0) - edges[k-1], exactly (Fast2Sum, as C(k) > C0)."""
-        columns = (self.edges, self.bands, self.prefix_ratios, self.prefix_sizes, self.concession_spends)
-        edges, *rest = (np.array(column, dtype=float) for column in columns)
-        return (edges, *rest, (np.array(self.level_costs) - edges) - self.baseline_cost)
+        return len(self.members)
 
     @cached_property
     def _negated(self) -> tuple[np.ndarray, np.ndarray]:
         """-edges and -bands, ascending, for ``_count_above`` and ``_near``."""
-        return -self._arrays[0], -self._arrays[1]
+        return -self.edges, -self.bands
 
     def bracket(self, attack_cost: float) -> int:
         """Number of levels whose cost increase beats the attack cost (the regime index i)."""
@@ -269,8 +237,8 @@ class FacilityPartition:
         1 - ca/(C(k)-C0) on each member of a level k <= i. On numbers, or on arrays
         elementwise. Taken as T_i + (C(i)-C0-ca)*S_i, with C(i)-C0 unrounded, it keeps its
         relative accuracy as ca nears C(i)-C0. At i = 0, S_0 = 0 voids the edge it reads."""
-        edges, _, ratios, _, spends, errors = self._arrays
-        spend = spends[i] + ((edges[i - 1] - ca) + errors[i - 1]) * ratios[i]
+        edge, error = self.edges[i - 1], self.edge_errors[i - 1]
+        spend = self.concession_spends[i] + ((edge - ca) + error) * self.prefix_ratios[i]
         return spend if np.ndim(spend) else float(spend)
 
     def _curve(self, ca, i, j=None):
@@ -279,11 +247,10 @@ class FacilityPartition:
         + N_i - N_{j-1}: the curve is the defense cost at which deterring levels 1..i and
         conceding down to level j tie. On numbers, or on arrays elementwise. By default
         j is the piece that holds ca: it ends where the deterrence spend falls to N_{j-1}."""
-        edges, sizes, spends = self._arrays[0], self._arrays[3], self._arrays[4]
         deter = self.deterrence_spend(ca, i)
         if j is None:  # rounding may lift the spend above N_i at ca = 0
-            j = np.minimum(1 + sizes[1:].searchsorted(deter), i)
-        return edges[j - 1], deter - spends[j]
+            j = np.minimum(1 + self.prefix_sizes[1:].searchsorted(deter), i)
+        return self.edges[j - 1], deter - self.concession_spends[j]
 
     def _curve_value(self, ca, i):
         """The curve at ``ca`` on the piece of bracket i that holds it, on numbers or on
@@ -309,11 +276,11 @@ class FacilityPartition:
         """The attack cost where the threshold curve, rising with ca, reaches ``cd`` >
         cd_tilde(0): in the bracket i whose ends hold cd, on the piece 1 + #{bands above cd},
         where the deterrence spend exceeds the concession spend T_j by (C(j)-C0)/cd."""
-        edges, ratios = self._arrays[0], self._arrays[2]
+        edges = self.edges
         i = 1 + bisect_left(range(1, self.K), -cd, key=lambda k: -self.cd_tilde(edges[k]))
         j = min(1 + int(_count_above(self._negated[1], cd)), i)
         edge, a = self._curve(0.0, i, j)  # the denominator at ca = 0 is a_ij
-        ca = (a - edge / cd) / ratios[i]
+        ca = (a - edge / cd) / self.prefix_ratios[i]
         return float(min(max(ca, edges[i] if i < self.K else 0.0), edges[i - 1]))
 
     def _place(self, ca, cd):
@@ -328,7 +295,7 @@ class FacilityPartition:
         k <= i, SPE regimes above the curve, and the region for k = i. The crossed edges
         form one run, as do the band hits, and ``not_above`` can only turn true as its
         line rises, so each run is tested at its highest band or curve value."""
-        (edges, bands), (neg_edges, neg_bands) = self._arrays[:2], self._negated
+        edges, bands, (neg_edges, neg_bands) = self.edges, self.bands, self._negated
         i, first, stop = _near(neg_edges, ca)  # 0-based: edge k is edges[k-1]
         j, band_first, band_stop = _near(neg_bands, cd)  # and band k is bands[k-1]
         j = j + 1
@@ -368,7 +335,7 @@ class FacilityPartition:
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""
-        return tuple(fac for level in self.levels[:k] for fac in level.members)
+        return tuple(fac for level in self.members[:k] for fac in level)
 
 
 @lru_cache(maxsize=512)
@@ -384,10 +351,24 @@ def partition_by_cost(profile: FacilityProfile) -> FacilityPartition:
             groups.setdefault(cost, []).append(fac)
     if not groups:
         raise EmptyVulnerableUniverse("no facility has post-attack cost above baseline")
-    levels = tuple(
-        CostLevel(cost, tuple(groups[cost])) for cost in sorted(groups, reverse=True)
+    c0, ordered = profile.baseline_cost, sorted(groups, reverse=True)
+    costs, sizes = np.array(ordered), np.array([len(groups[cost]) for cost in ordered])
+    edges = costs - c0
+    # accumulate adds left to right, so each prefix sum has the bits of a Python loop
+    ratios = np.concatenate(([0.0], np.add.accumulate(sizes / edges)))
+    spends = np.add.accumulate((costs[:-1] - costs[1:]) * ratios[1:-1])
+    return FacilityPartition(
+        baseline_cost=c0,
+        members=tuple(tuple(groups[cost]) for cost in ordered),
+        level_costs=costs,
+        level_sizes=sizes,
+        edges=edges,
+        bands=1.0 / ratios[1:],
+        prefix_ratios=ratios,
+        prefix_sizes=np.concatenate(([0], np.add.accumulate(sizes))),
+        concession_spends=np.concatenate(([0.0, 0.0], spends)),
+        edge_errors=(costs - edges) - c0,
     )
-    return FacilityPartition(profile.baseline_cost, levels)
 
 
 def vulnerable_set(profile: FacilityProfile, attack_cost: float) -> tuple[FacilityId, ...]:

@@ -85,7 +85,7 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
         raise EmptyVulnerableUniverse(
             f"attack cost {attack_cost!r} leaves no vulnerable facility"
         )
-    return partition.bands[i - 1]
+    return partition.bands.item(i - 1)
 
 
 def classify_regime_ne(profile: FacilityProfile, params: CostParams) -> NeRegime:
@@ -99,11 +99,12 @@ def _deter(
 ) -> EffortVector:
     """Effort (C(k)-ca-C0)/(C(k)-C0) on levels 1..i, at which attacking them
     is exactly as good as abstaining (regimes I-i and I~-i)."""
-    c0, costs, edges = partition.baseline_cost, partition.level_costs, partition.edges
+    c0 = partition.baseline_cost
+    costs, edges = partition.level_costs[:i].tolist(), partition.edges[:i].tolist()
     effort = {
         fac: (costs[k] - attack_cost - c0) / edges[k]
         for k in range(i)
-        for fac in partition.levels[k].members
+        for fac in partition.members[k]
     }
     return EffortVector.over(profile, effort)
 
@@ -117,16 +118,16 @@ def _concede(
     C(j) and are attacked at their break-even probability; level j absorbs
     the rest of the attack mass, so the attacker always attacks.
     """
-    costs, edges = partition.level_costs, partition.edges
+    costs, edges = partition.level_costs[:j].tolist(), partition.edges[: j - 1].tolist()
     cj = costs[j - 1]
     effort: dict[FacilityId, float] = {}
     attack: dict[FacilityId, float] = {}
     for k in range(j - 1):
-        for fac in partition.levels[k].members:
+        for fac in partition.members[k]:
             effort[fac] = (costs[k] - cj) / edges[k]
             attack[fac] = defense_cost / edges[k]
     residual = 1.0 - sum(attack.values())
-    free = partition.levels[j - 1].members
+    free = partition.members[j - 1]
     for fac in free:
         attack[fac] = residual / len(free)
     return (
@@ -139,8 +140,8 @@ def _concession_utilities(partition: FacilityPartition, ca, cd, j: int):
     """(defender, attacker) utilities of the outcome of ``_concede``: C(j) and
     the concession spend T_j (``FacilityPartition.concession_spends``). ``ca`` and
     ``cd`` are floats or arrays, as in ``_ne_utilities``."""
-    cj = partition.level_costs[j - 1]
-    return -cj - cd * partition.concession_spends[j], cj - ca
+    cj = partition.level_costs.item(j - 1)
+    return -cj - cd * partition.concession_spends.item(j), cj - ca
 
 
 def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
@@ -152,7 +153,7 @@ def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
     """
     if regime.kind is RegimeKind.TYPE_I:
         c0 = partition.baseline_cost
-        return -c0 - cd * partition.prefix_sizes[regime.index], c0
+        return -c0 - cd * partition.prefix_sizes.item(regime.index), c0
     if regime.kind is RegimeKind.TYPE_II:
         return _concession_utilities(partition, ca, cd, regime.index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")
@@ -179,11 +180,8 @@ def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibr
         raise BoundaryParameters.at(params)
     if regime.kind is RegimeKind.TYPE_I:
         # every deterred level is attacked at its break-even probability
-        attack = {
-            fac: cd / partition.edges[k]
-            for k in range(regime.index)
-            for fac in partition.levels[k].members
-        }
+        edges = partition.edges[: regime.index].tolist()
+        attack = {fac: cd / edges[k] for k in range(regime.index) for fac in partition.members[k]}
         eff = _deter(profile, partition, ca, regime.index)
         dist = AttackDistribution.over(profile, attack)
     else:

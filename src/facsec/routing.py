@@ -10,6 +10,7 @@ pivot sequence. Routes over the same edges share their flow evenly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -51,9 +52,9 @@ class Route:
 class RoutedNetwork:
     """Parallel routes over shared edges with inelastic demand.
 
-    Compromised latencies must dominate nominal ones pointwise on [0, demand],
-    up to rounding (``not_above``); for affine functions checking both
-    endpoints suffices.
+    Latencies must be finite, and compromised latencies must dominate nominal
+    ones pointwise on [0, demand], up to rounding (``not_above``); for affine
+    functions checking both endpoints suffices.
     """
 
     edges: tuple[Edge, ...]
@@ -83,6 +84,8 @@ class RoutedNetwork:
                 if lat.slope < 0.0 or lat.intercept < 0.0:
                     raise NetworkError(f"edge {edge.edge_id!r} has negative latency coefficients")
             for w in (0.0, self.demand):
+                if not (math.isfinite(edge.nominal(w)) and math.isfinite(edge.compromised(w))):
+                    raise NetworkError(f"edge {edge.edge_id!r}: latency not finite at load {w}")
                 if not not_above(edge.nominal(w), edge.compromised(w)):
                     raise NetworkError(
                         f"edge {edge.edge_id!r}: compromised latency below nominal at load {w}"

@@ -87,7 +87,7 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
     threshold at 0, and diverging at the right end of its domain.
     """
     partition = partition_by_cost(profile)
-    cap = partition.edges[0]
+    cap = partition.edges.item(0)
     if attack_cost < 0.0 or attack_cost >= cap:
         raise OutOfDomain(f"attack cost {attack_cost!r} outside [0, {cap!r})")
     return partition.cd_tilde(attack_cost)

@@ -38,7 +38,7 @@ def reference_locate(self: FacilityPartition, ca: float, cd: float) -> Location:
     jumps. Band k separates NE regimes for k <= i, SPE regimes above the
     curve, and the region for k = i."""
     edges, bands, i = self.edges, self.bands, self.bracket(ca)
-    j = 1 + int(_count_above(self._arrays[1], cd))
+    j = 1 + int(_count_above(bands, cd))
     if on_boundary(ca, edges[0]):
         return Location(i, j, True, "boundary", True, True)
     crossed = [k for k in range(2, self.K + 1) if on_boundary(ca, edges[k - 1])]

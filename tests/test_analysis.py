@@ -24,6 +24,7 @@ from facsec.normalform import (
     BoundaryParameters,
     NeRegime,
     _ne_utilities,
+    cd_threshold_bar,
     classify_regime_ne,
     ne_utilities,
     solve_ne,
@@ -151,6 +152,26 @@ def test_compare_games_without_vulnerable_facilities(profile3):
     assert cmp.region is CostRegion.NO_VULNERABLE
     assert cmp.utility_gap == 0.0
     assert cmp.ne.defender_utility == pytest.approx(-17.0)
+    flat = FacilityProfile(10.0, (("a", 10.0), ("b", 9.0)))  # no cost above the baseline at all
+    assert classify_cost_region(flat, CostParams(1.0, 1.0)) is CostRegion.NO_VULNERABLE
+
+
+def test_public_results_are_python_floats(profile3):
+    # a numpy scalar would change the repr of a number in `facsec verify`'s failure lines
+    kinds = set()
+    for ca, cd in ((0.5, 0.3), (0.5, 1.0), (0.5, 1.5), (1.5, 0.6), (2.5, 5.0)):
+        params = CostParams(ca, cd)
+        ne, spe = solve_ne(profile3, params), solve_spe(profile3, params)
+        kinds |= {ne.regime.kind.value, spe.regime.kind.value}
+        values = [
+            ne.defender_utility, ne.attacker_utility, spe.defender_utility, spe.attacker_utility,
+            *ne_utilities(profile3, params, ne.regime), *spe_utilities(profile3, params, spe.regime),
+            compare_games(profile3, params).utility_gap,
+            cd_threshold_bar(profile3, ca), cd_threshold_tilde(profile3, ca),
+        ]
+        assert [type(v) for v in values] == [float] * len(values), (ca, cd)
+    assert kinds == {"I", "II", "I~", "II~"}
+    assert [type(cd_tilde_inverse(profile3, cd)) for cd in (6 / 11, 1.5, 9.0)] == [float] * 3
 
 
 def test_compare_games_rejects_boundaries(profile3):

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import tokenize
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from facsec.model import (
@@ -56,20 +58,70 @@ def test_classification_and_partition(profile3):
     profile = FacilityProfile(10.0, (("up", 12.0), ("flat", 10.0), ("down", 8.0), ("up2", 12.0)))
     part = partition_by_cost(profile)
     assert part.K == 1
-    assert part.level_costs == (12.0,)
-    assert part.level_sizes == (2,)
-    assert part.prefix_sizes == (0, 2)
+    assert part.level_costs.tolist() == [12.0]
+    assert part.level_sizes.tolist() == [2]
+    assert part.prefix_sizes.tolist() == [0, 2]
     assert part.members_up_to(1) == ("up", "up2")
 
     part3 = partition_by_cost(profile3)
-    assert part3.level_costs == (20.0, 19.0, 18.0)
-    assert part3.level_sizes == (1, 1, 1)
-    assert part3.prefix_sizes == (0, 1, 2, 3)
+    assert part3.level_costs.tolist() == [20.0, 19.0, 18.0]
+    assert part3.level_sizes.tolist() == [1, 1, 1]
+    assert part3.prefix_sizes.tolist() == [0, 1, 2, 3]
     assert part3.members_up_to(2) == ("e1", "e2")
-    assert part3.edges == (3.0, 2.0, 1.0)
-    assert part3.prefix_ratios == pytest.approx((0.0, 1 / 3, 5 / 6, 11 / 6), rel=1e-15)
-    assert part3.bands == pytest.approx((3.0, 6 / 5, 6 / 11), rel=1e-15)
+    assert part3.edges.tolist() == [3.0, 2.0, 1.0]
+    assert part3.prefix_ratios.tolist() == pytest.approx([0.0, 1 / 3, 5 / 6, 11 / 6], rel=1e-15)
+    assert part3.bands.tolist() == pytest.approx([3.0, 6 / 5, 6 / 11], rel=1e-15)
     assert [part3.bracket(ca) for ca in (0.5, 1.0, 2.5, 3.0)] == [3, 2, 1, 0]
+
+
+def levelled_profile(seed: int, K: int) -> FacilityProfile:
+    """K distinct costs above a baseline, each held by 1-3 facilities, and a few at or
+    below the baseline, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    c0 = float(rng.uniform(1.0, 50.0))
+    levels = (c0 + rng.uniform(0.01, 20.0, size=K)).tolist()
+    costs = [c for c in levels for _ in range(int(rng.integers(1, 4)))] + [c0, c0 / 2]
+    return FacilityProfile(c0, tuple((f"f{t}", costs[t]) for t in rng.permutation(len(costs)).tolist()))
+
+
+def reference_constants(profile: FacilityProfile) -> dict[str, list]:
+    """The partition's constants from their definitions, as Python numbers summed
+    left to right in plain loops."""
+    c0 = profile.baseline_cost
+    costs = sorted({c for _, c in profile.facilities if c > c0}, reverse=True)
+    sizes = [[c for _, c in profile.facilities].count(cost) for cost in costs]
+    edges = [c - c0 for c in costs]
+    ratios, prefix, spends = [0.0], [0], [0.0, 0.0]
+    for n, edge in zip(sizes, edges):
+        ratios.append(ratios[-1] + n / edge)
+        prefix.append(prefix[-1] + n)
+    for a, b, s in zip(costs, costs[1:], ratios[1:]):
+        spends.append(spends[-1] + (a - b) * s)
+    return {
+        "level_costs": costs, "level_sizes": sizes, "edges": edges, "bands": [1.0 / s for s in ratios[1:]],
+        "prefix_ratios": ratios, "prefix_sizes": prefix, "concession_spends": spends,
+        "edge_errors": [(c - e) - c0 for c, e in zip(costs, edges)],
+    }
+
+
+@pytest.mark.parametrize("K", [1, 2, 50, 2000])
+def test_partition_constants_match_their_definitions_exactly(K):
+    profile = levelled_profile(K, K)
+    partition = partition_by_cost(profile)
+    want = reference_constants(profile)
+    assert partition.K == K
+    assert partition.members == tuple(
+        tuple(fac for fac, c in profile.facilities if c == cost) for cost in want["level_costs"]
+    )
+    arrays = {f.name: getattr(partition, f.name) for f in dataclasses.fields(partition)
+              if isinstance(getattr(partition, f.name), np.ndarray)}
+    assert arrays.keys() == want.keys()
+    for name, values in arrays.items():
+        assert values.tolist() == want[name], name  # equal floats: the same bits
+        assert values.dtype.kind == ("i" if name in ("level_sizes", "prefix_sizes") else "f"), name
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[0]
 
 
 def test_partition_requires_an_increased_facility():
@@ -92,6 +144,8 @@ def test_effort_vector_basics(profile3):
     assert eff.total == pytest.approx(0.25)
     with pytest.raises(ModelError):
         EffortVector.over(profile3, {"bogus": 0.5})
+    with pytest.raises(ModelError, match=r"^no effort entry for facility 'ghost'$"):
+        eff.get("ghost")
     with pytest.raises(ModelError):
         EffortVector.over(profile3, {"e1": 1.5})
 
@@ -134,6 +188,8 @@ def test_attack_distribution_rejects_a_bad_sum_or_an_unknown_facility(profile3):
         AttackDistribution((("e1", 0.5), ("e2", 0.5)), 2 * PROB_SLACK)
     with pytest.raises(ModelError, match=r"^attack prob on unknown facilities: \['ghost'\]$"):
         AttackDistribution.over(profile3, {"e1": 0.5, "ghost": 0.5})
+    with pytest.raises(ModelError, match=r"^no attack entry for facility 'ghost'$"):
+        AttackDistribution.over(profile3).prob("ghost")
 
 
 def test_expected_utilities_pure_cases(profile3):

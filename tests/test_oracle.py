@@ -423,6 +423,11 @@ def test_verify_ne_accepts_and_rejects(profile3):
     bad_atk = AttackDistribution.over(profile3, {"e1": 0.5, "e2": 0.15, "e3": 0.3})
     assert not verify_ne(profile3, params, eq.effort, bad_atk).ok
 
+    # e3 left unsecured while attacked with probability 0.6: securing it saves 0.6 > cd
+    idle_e3 = EffortVector.over(profile3, {**eq.effort.as_dict(), "e3": 0.0})
+    res = verify_ne(profile3, params, idle_e3, AttackDistribution.over(profile3, {"e3": 0.6}))
+    assert "defender: effort 0 on e3 but raising it pays (saves 0.6, cd 0.3)" in res.failures
+
 
 def test_defender_utility_vs_br(profile3):
     params = CostParams(0.5, 0.3)

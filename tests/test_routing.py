@@ -1,3 +1,4 @@
+import math
 import signal
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_dominance_is_judged_relative_to_the_latencies():
         edge_network(2.0**k, 2.0**-45)
         with pytest.raises(NetworkError, match="compromised latency below nominal at load 0.0"):
             edge_network(2.0**k, 0.5)
+
+
+def test_a_latency_that_overflows_is_rejected_as_such():
+    # 1e300 * 1e300 is inf; inf - inf is NaN, which the dominance test reported as a
+    # compromised latency below nominal
+    slopes = AffineLatency(1e300, 0.0)
+    with pytest.raises(NetworkError, match=r"^edge 'a': latency not finite at load 1e\+300$"):
+        RoutedNetwork((Edge("a", slopes, slopes),), (Route("p", ("a",)),), 1e300)
+    with pytest.raises(NetworkError, match=r"^edge 'a': latency not finite at load 0.0$"):
+        RoutedNetwork((Edge("a", AffineLatency(1.0, math.inf), slopes),), (Route("p", ("a",)),), 1.0)
 
 
 def test_latencies_for_state(cal_network):

@@ -196,6 +196,8 @@ def grammar_cases():
                        id="repeated-route")
     yield pytest.param(replaced("edge x 1 0 1 2", "edge x 1 0 -1 2"),
                        f":{network}: edge 'x' has negative latency coefficients", id="negative-edge")
+    yield pytest.param(replaced("prior none 1", "prior none 0.95"),
+                       f":{learning}: probabilities sum to 0.95, expected 1", id="prior-sum")
 
 
 @pytest.mark.parametrize("lines, message", grammar_cases())
@@ -317,6 +319,14 @@ def test_cli_boundary_parameters_exit_2(capsys, tmp_path):
     code, out = run_cli(capsys, "verify", "--scenario", scn)
     assert code == 2
     assert "closed-form checks skipped" in out
+
+    for token in ("ne", "spe"):  # no closed form to draw the true state from
+        path = tmp_path / f"edge-{token}.scn"
+        path.write_text(Path(scn).read_text().replace("true_state ne", f"true_state {token}"))
+        code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--horizon", "3")
+        assert code == 2
+        assert out == ("error: cannot derive the state distribution: (attack_cost=3.0, defense_cost=0.3)"
+                       " lies on a regime boundary\n")
 
 
 def test_cli_verify_golden(capsys):
@@ -491,6 +501,16 @@ def test_cli_simulate_an_edge_as_the_true_state(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "# seed=5 true_state=e2"
     assert len(lines) == 2 + 3
+
+
+def test_cli_rejects_an_edge_latency_that_overflows(capsys, tmp_path):
+    # slope 1e300 at demand 1e300: the latency is inf, not "compromised below nominal"
+    path = tmp_path / "overflow.scn"
+    text = LOCKIN.read_text().replace("demand 5", "demand 1e300")
+    path.write_text(text.replace("edge e2 1 2 2.3333333333333335 50", "edge e2 1e300 2 1e300 50"))
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--horizon", "3")
+    assert code == 1
+    assert "edge 'e2': latency not finite at load 1e+300" in out
 
 
 SIMULATE_GOLDEN = {
