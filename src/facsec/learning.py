@@ -10,7 +10,6 @@ prediction at the realized loads.
 from __future__ import annotations
 
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO
 
@@ -46,7 +45,7 @@ class StateDistribution:
             if state in seen:
                 raise LearningError(f"duplicate state {state!r}")
             seen.add(state)
-            if p < 0.0:
+            if not p >= 0.0:  # also rejects NaN
                 raise LearningError(f"negative probability {p!r} for state {state!r}")
         total = sum(p for _, p in pairs)
         if abs(total - 1.0) > PROB_SLACK:
@@ -77,7 +76,8 @@ class StateDistribution:
             acc += p
             if u < acc:
                 return state
-        return self.probs[-1][0]
+        # the probabilities may sum to just below 1; never return a state of mass 0
+        return next(state for state, p in reversed(self.probs) if p > 0.0)
 
 
 Belief = StateDistribution
@@ -113,14 +113,6 @@ def belief_mixed_latencies(network: RoutedNetwork, belief: Belief) -> dict[str, 
 
 
 @dataclass(frozen=True)
-class StageResult:
-    flow: FlowAssignment
-    observations: dict[str, float]  # realized cost per observed edge
-    posterior: Belief
-    degenerate: bool  # every state ruled out; belief kept as-is
-
-
-@dataclass(frozen=True)
 class _StagePlan:
     """The part of a stage that its belief fixes.
 
@@ -142,7 +134,7 @@ class _StagePlan:
 def _plan_stage(
     belief: Belief, network: RoutedNetwork, noise_half_width: float, realized_state: State
 ) -> _StagePlan:
-    if noise_half_width <= 0.0:
+    if not noise_half_width > 0.0:  # also rejects NaN
         raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
     flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
     loads = flow.edge_loads
@@ -159,6 +151,37 @@ def _plan_stage(
     return _StagePlan(belief, noise_half_width, flow, observed, truth, predicted, positive)
 
 
+@dataclass(frozen=True)
+class StageRecord:
+    stage: int  # 1-based
+    belief_before: Belief
+    flow: FlowAssignment
+    observations: dict[str, float]  # realized cost per observed edge
+    belief_after: Belief
+    degenerate: bool  # every state ruled out; belief kept as-is
+
+
+@dataclass(frozen=True)
+class _Segment:
+    """The stages one belief played in one block, as columns. It iterates
+    its ``StageRecord``s, which share its belief and flow objects."""
+
+    first: int  # the 1-based stage of row 0
+    plan: _StagePlan
+    observations: np.ndarray  # stages × plan.observed
+    degenerate: np.ndarray  # one flag per stage
+    belief_after: Belief  # after the last stage; every earlier stage keeps plan.belief
+
+    def __iter__(self) -> Iterator[StageRecord]:
+        plan, last = self.plan, len(self.degenerate) - 1
+        rows = zip(self.observations.tolist(), self.degenerate.tolist())
+        for row, (obs, degenerate) in enumerate(rows):
+            after = self.belief_after if row == last else plan.belief
+            yield StageRecord(
+                self.first + row, plan.belief, plan.flow, dict(zip(plan.observed, obs)), after, degenerate
+            )
+
+
 # A block of stages costs one noise draw and one support check. It is at most
 # BLOCK_STAGES stages, and at most BLOCK_CELLS stage × state × observed-edge
 # comparisons, which bounds the check's temporary arrays on large networks.
@@ -166,19 +189,16 @@ BLOCK_STAGES = 4096
 BLOCK_CELLS = 1 << 18
 
 
-def _play_block(
-    plan: _StagePlan, rng: np.random.Generator, stages: int
-) -> tuple[np.ndarray, np.ndarray, Belief]:
-    """Play up to ``stages`` stages on the plan's belief, ending after the
-    first stage that changes it.
+def _play_block(plan: _StagePlan, rng: np.random.Generator, first: int, stages: int) -> _Segment:
+    """Play up to ``stages`` stages on the plan's belief, numbered from
+    ``first``, ending after the first stage that changes it, and return the
+    segment played.
 
-    Returns the observations (stages played × observed edges), the degenerate
-    flag of each stage played and the belief after the last one. A stage that
-    rules out every positive-mass state is degenerate and keeps the belief, so
-    the block plays on. The noise is one draw of stages × observed edges,
-    the same numbers in the same order as one draw per stage; when the block
-    ends early, the generator is rewound and redrawn to just past the stages
-    played, where a stage-by-stage loop would have left it.
+    A stage that rules out every positive-mass state is degenerate and keeps
+    the belief, so the block plays on. The noise is one draw of stages ×
+    observed edges, the same numbers in the same order as one draw per stage;
+    when the block ends early, the generator is rewound and redrawn to just
+    past the stages played, where a stage-by-stage loop would have left it.
     """
     b = plan.noise_half_width
     n = len(plan.observed)
@@ -190,7 +210,7 @@ def _play_block(
     degenerate = ~kept.any(axis=1)
     changes = np.flatnonzero(~kept.all(axis=1) & ~degenerate)
     if not changes.size:
-        return obs, degenerate, plan.belief
+        return _Segment(first, plan, obs, degenerate, plan.belief)
     s = int(changes[0])
     if s + 1 < stages:
         rng.bit_generator.state = start
@@ -199,7 +219,7 @@ def _play_block(
     masses = [theta if ok else 0.0 for ok, (_, theta) in zip(survives[s].tolist(), belief.probs)]
     total = sum(masses)
     posterior = Belief(tuple((state, m / total) for (state, _), m in zip(belief.probs, masses)))
-    return obs[: s + 1], degenerate[: s + 1], posterior
+    return _Segment(first, plan, obs[: s + 1], degenerate[: s + 1], posterior)
 
 
 def stage_step(
@@ -208,8 +228,10 @@ def stage_step(
     noise_half_width: float,
     realized_state: State,
     rng: np.random.Generator,
-) -> StageResult:
+) -> StageRecord:
     """One stage: route on the belief, observe used edges, update by Bayes.
+    Returns the only record of a one-stage block: stage 1, from ``belief``
+    to the posterior.
 
     Observed costs are true-state latency at the realized load plus uniform
     noise on [-b, b], drawn independently per observed edge, in edge order.
@@ -221,8 +243,7 @@ def stage_step(
     the normalization).
     """
     plan = _plan_stage(belief, network, noise_half_width, realized_state)
-    obs, degenerate, posterior = _play_block(plan, rng, 1)
-    return StageResult(plan.flow, dict(zip(plan.observed, obs[0].tolist())), posterior, bool(degenerate[0]))
+    return next(iter(_play_block(plan, rng, 1, 1)))
 
 
 @dataclass(frozen=True)
@@ -235,61 +256,21 @@ class SimulationConfig:
     seed: int
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    stage: int  # 1-based
-    belief_before: Belief
-    flow: FlowAssignment
-    observations: dict[str, float]
-    belief_after: Belief
-    degenerate: bool
-
-
-@dataclass(frozen=True)
-class _Segment:
-    """The stages one belief played in one block, as columns."""
-
-    first: int  # the 1-based stage of row 0
-    plan: _StagePlan
-    observations: np.ndarray  # stages × plan.observed
-    degenerate: np.ndarray  # one flag per stage
-    belief_after: Belief  # after the last stage; every earlier stage keeps plan.belief
-
-    def records(self, start: int, stop: int) -> Iterator[StageRecord]:
-        plan, last = self.plan, len(self.degenerate) - 1
-        rows = zip(self.observations[start:stop].tolist(), self.degenerate[start:stop].tolist())
-        for row, (obs, degenerate) in enumerate(rows, start):
-            after = self.belief_after if row == last else plan.belief
-            yield StageRecord(
-                self.first + row, plan.belief, plan.flow, dict(zip(plan.observed, obs)), after, degenerate
-            )
-
-
-class StageRecords(Sequence):
+class StageRecords:
     """A trace's stages held as column segments, one per block of stages
-    played on one belief. It reads as the sequence of its ``StageRecord``s,
-    built on access; the records of a segment share its belief and flow
-    objects."""
+    played on one belief. It has a length and iterates its ``StageRecord``s
+    in stage order, built as they are read."""
 
-    def __init__(self, segments: Sequence[_Segment]) -> None:
+    def __init__(self, segments: list[_Segment]) -> None:
         self.segments = tuple(segments)
-        self._firsts = np.array([seg.first for seg in self.segments], dtype=np.int64)
         self._len = sum(len(seg.degenerate) for seg in self.segments)
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[t] for t in range(self._len)[index])
-        stage = range(1, self._len + 1)[index]
-        seg = self.segments[int(np.searchsorted(self._firsts, stage, side="right")) - 1]
-        row = stage - seg.first
-        return next(seg.records(row, row + 1))
-
     def __iter__(self) -> Iterator[StageRecord]:
         for seg in self.segments:
-            yield from seg.records(0, len(seg.degenerate))
+            yield from seg
 
 
 @dataclass(frozen=True)
@@ -335,9 +316,10 @@ def run_simulation(config: SimulationConfig) -> LearningTrace:
             plan = _plan_stage(belief, config.network, config.noise_half_width, realized)
         cells = max(1, plan.predicted.size)
         stages = min(BLOCK_STAGES, max(1, BLOCK_CELLS // cells), config.horizon - played)
-        obs, degenerate, belief = _play_block(plan, rng, stages)
-        segments.append(_Segment(played + 1, plan, obs, degenerate, belief))
-        played += len(degenerate)
+        segment = _play_block(plan, rng, played + 1, stages)
+        segments.append(segment)
+        belief = segment.belief_after
+        played += len(segment.degenerate)
     return LearningTrace(config, realized, StageRecords(segments))
 
 

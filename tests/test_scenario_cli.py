@@ -473,7 +473,7 @@ def test_cli_regimes_one_cell_axis(capsys, tmp_path):
     out_file = tmp_path / "slice.csv"
     code, _ = run_cli(capsys, "regimes", "--scenario", str(THREE), "--grid", "0:1:1,0:4:40", "--out", str(out_file))
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    rows = list(csv.DictReader(out_file.read_text().splitlines()))
     assert len(rows) == 40
     assert {row["ca"] for row in rows} == {"0.5"}
     assert [row["cd"] for row in rows[:2]] == ["0.05", "0.15"]
