@@ -31,6 +31,8 @@ from .normalform import (
     NeRegime,
     NormalFormEquilibrium,
     RegimeKind,
+    _concession_utilities,
+    _label,
     _ne_utilities,
     solve_ne,
 )
@@ -185,21 +187,22 @@ def _interior_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (np.arange(n) + 0.5) * h
 
 
-def _regime_columns(regime, kinds, utilities, partition, codes, ca, cd):
-    """Labels and (defender, attacker) utilities per cell from regime codes:
-    i for Type I-i, K + j for Type II-j and 2K + 1 for boundary. The utilities
-    run once per regime present, on the arrays of its cells' ``ca`` and ``cd``."""
-    K = partition.K
-    table = (
-        [regime(kinds.TYPE_I, i) for i in range(K + 1)]
-        + [regime(kinds.TYPE_II, j) for j in range(1, K + 1)]
-        + [regime(kinds.BOUNDARY, None)]
+def _labels(kinds, K: int) -> np.ndarray:
+    """Each regime's label at its code: i for Type I-i, K + j for Type II-j and
+    2K + 1 for boundary."""
+    one, two = kinds.TYPE_I.value, kinds.TYPE_II.value
+    return np.array(
+        [_label(one, i) for i in range(K + 1)]
+        + [_label(two, j) for j in range(1, K + 1)]
+        + [_label(kinds.BOUNDARY.value, None)],
+        dtype=object,
     )
-    ud, ua = np.full(codes.shape, np.nan), np.full(codes.shape, np.nan)
-    for code in np.flatnonzero(np.bincount(codes.ravel())[: 2 * K + 1]).tolist():
-        at = codes == code
-        ud[at], ua[at] = utilities(partition, ca[at], cd[at], table[code])
-    return np.array([r.label for r in table], dtype=object)[codes], ud, ua
+
+
+def _per_cell(type_one, deter, concede, boundary) -> list[np.ndarray]:
+    """(defender, attacker) utilities per cell: ``deter``'s where ``type_one``,
+    else ``concede``'s, and NaN on ``boundary``."""
+    return [np.where(boundary, np.nan, np.where(type_one, d, c)) for d, c in zip(deter, concede)]
 
 
 def regime_sweep(
@@ -212,10 +215,13 @@ def regime_sweep(
 
     Samples cell midpoints of the open ranges, so the range endpoints are
     never evaluated; the ranges must be finite and every midpoint positive.
-    ``FacilityPartition.locate_grid`` places the whole grid at once, and each
-    game's utilities run once per regime on the arrays of its cells, with the
-    same floating-point operations as at a single point. Boundary cells keep
-    their labels but leave the corresponding utility fields unset.
+    ``FacilityPartition.locate_grid`` places the whole grid at once. The
+    utilities then take one pass over the cells, O(cells) with no loop over
+    regimes: both kinds of regime are evaluated at every cell, with the
+    bracket i read per row and the concession level j per column, by the
+    same floating-point operations as at a single point, and each cell keeps
+    its own regime's. Boundary cells keep their labels but leave the
+    corresponding utility fields unset.
     """
     n_ca, n_cd = (steps, steps) if isinstance(steps, int) else steps
     partition = partition_by_cost(profile)
@@ -223,13 +229,21 @@ def regime_sweep(
     cd = _interior_grid(cd_range[0], cd_range[1], n_cd)
     CostParams(float(ca[0]), float(cd[0]))  # the smallest midpoints: rejects any nonpositive one
     loc = partition.locate_grid(ca, cd)
-    K, i, j = partition.K, loc.i[:, None], loc.j
-    # NeRegime.at and SpeRegime.at, cell by cell, as regime codes
-    ne = np.where(loc.on_ne_line, 2 * K + 1, np.where(j > i, i, K + j))
-    spe = np.where(loc.on_spe_line, 2 * K + 1, np.where(loc.below_curve, i, K + j))
-    cells = np.meshgrid(ca, cd, indexing="ij", copy=False)
-    ne_labels, ud, ua = _regime_columns(NeRegime, RegimeKind, _ne_utilities, partition, ne, *cells)
-    spe_labels, uds, uas = _regime_columns(SpeRegime, SpeRegimeKind, _spe_utilities, partition, spe, *cells)
+    K, x, i, j = partition.K, ca[:, None], loc.i[:, None], loc.j
+    # NeRegime.at and SpeRegime.at, cell by cell: which cells are of Type I, and regime codes
+    ne_one, spe_one = j > i, loc.below_curve
+    ne = np.where(loc.on_ne_line, 2 * K + 1, np.where(ne_one, i, K + j))
+    spe = np.where(loc.on_spe_line, 2 * K + 1, np.where(spe_one, i, K + j))
+    # Type I reads N_i or the deterrence spend once per row; Type II, the same in both
+    # games, reads C(j) and T_j once per column. No cell concedes where j > K, so level
+    # K stands in there. A cell may overflow in a kind it is not in; a float just gives inf.
+    with np.errstate(over="ignore"):
+        concede = _concession_utilities(partition, x, cd, np.minimum(j, K))
+        ne_deter = _ne_utilities(partition, x, cd, RegimeKind.TYPE_I, i)
+        spe_deter = _spe_utilities(partition, x, cd, SpeRegimeKind.TYPE_I, i)
+    ud, ua = _per_cell(ne_one, ne_deter, concede, loc.on_ne_line)
+    uds, uas = _per_cell(spe_one, spe_deter, concede, loc.on_spe_line)
+    ne_labels, spe_labels = _labels(RegimeKind, K)[ne], _labels(SpeRegimeKind, K)[spe]
     return SweepGrid(ca, cd, ne_labels, spe_labels, loc.region, ud, uds, ua, uas)
 
 

@@ -10,6 +10,7 @@ prediction at the realized loads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO
 
@@ -136,6 +137,10 @@ def _plan_stage(
 ) -> _StagePlan:
     if not noise_half_width > 0.0:  # also rejects NaN
         raise LearningError(f"noise half-width must be positive, got {noise_half_width!r}")
+    if not math.isfinite(2.0 * noise_half_width):  # the noise is drawn on [-b, b]
+        raise LearningError(
+            f"noise half-width must be at most half the largest float, got {noise_half_width!r}"
+        )
     flow = wardrop_equilibrium(network, belief_mixed_latencies(network, belief))
     loads = flow.edge_loads
     observed = tuple(eid for eid in network.edge_ids if loads[eid] > PROB_SLACK * network.demand)

@@ -86,6 +86,11 @@ def _near(negated: np.ndarray, x):
     return count, first, stop
 
 
+def _read(values: np.ndarray, k):
+    """``values[k]``: a Python number at an int ``k``, an array at an index array ``k``."""
+    return values.item(k) if isinstance(k, int) else values[k]
+
+
 def _most(counts) -> int:
     """The largest of ``counts``, a number or an array, or 0."""
     return max(0, int(counts.max(initial=0) if isinstance(counts, np.ndarray) else counts))
@@ -109,9 +114,10 @@ class NonpositiveDenominator(ValueError):
     """The requested threshold expression degenerates at these parameters."""
 
 
-def _require_positive_finite(value: float, what: str) -> None:
+def _require_positive_finite(value: float, what: str, fac: Optional[FacilityId] = None) -> None:
     if not 0 < value < math.inf:  # NaN fails too
-        raise ModelError(f"{what} must be {'finite' if value == math.inf else 'positive'}")
+        subject = what if fac is None else f"{what} {fac!r}"
+        raise ModelError(f"{subject} must be {'finite' if value == math.inf else 'positive'}")
 
 
 def _lookup(table: Mapping[FacilityId, float], fac: FacilityId, missing: str) -> float:
@@ -138,7 +144,7 @@ class FacilityProfile:
             raise ModelError("at least one facility is required")
         _reject_repeated_ids(self.facilities)
         for fac, cost in self.facilities:
-            _require_positive_finite(cost, f"post-attack cost of {fac!r}")
+            _require_positive_finite(cost, "post-attack cost of", fac)
 
     @cached_property
     def _cost_map(self) -> dict[FacilityId, float]:
@@ -237,9 +243,8 @@ class FacilityPartition:
         1 - ca/(C(k)-C0) on each member of a level k <= i. On numbers, or on arrays
         elementwise. Taken as T_i + (C(i)-C0-ca)*S_i, with C(i)-C0 unrounded, it keeps its
         relative accuracy as ca nears C(i)-C0. At i = 0, S_0 = 0 voids the edge it reads."""
-        edge, error = self.edges[i - 1], self.edge_errors[i - 1]
-        spend = self.concession_spends[i] + ((edge - ca) + error) * self.prefix_ratios[i]
-        return spend if np.ndim(spend) else float(spend)
+        edge, error = _read(self.edges, i - 1), _read(self.edge_errors, i - 1)
+        return _read(self.concession_spends, i) + ((edge - ca) + error) * _read(self.prefix_ratios, i)
 
     def _curve(self, ca, i, j=None):
         """Piece (i, j) of the threshold curve at ``ca``, as C(j)-C0 and the deterrence
@@ -389,9 +394,12 @@ def _reject_repeated_ids(pairs: tuple[tuple[FacilityId, float], ...]) -> None:
         seen.add(fac)
 
 
-def _validated_unit(value: float, what: str) -> float:
+def _validated_unit(value: float, what: str, fac: Optional[FacilityId] = None) -> float:
+    """``value`` clipped to [0, 1]; more than PROB_SLACK outside raises ModelError,
+    naming ``what`` and then ``fac`` if given."""
     if not -PROB_SLACK <= value <= 1.0 + PROB_SLACK:  # NaN fails too
-        raise ModelError(f"{what} {value!r} outside [0, 1]")
+        subject = what if fac is None else f"{what} {fac!r}"
+        raise ModelError(f"{subject} {value!r} outside [0, 1]")
     return min(1.0, max(0.0, value))
 
 
@@ -403,7 +411,7 @@ class EffortVector:
 
     def __post_init__(self) -> None:
         cleaned = tuple(
-            (fac, _validated_unit(v, f"effort on {fac!r}")) for fac, v in self.efforts
+            (fac, _validated_unit(v, "effort on", fac)) for fac, v in self.efforts
         )
         _reject_repeated_ids(cleaned)
         object.__setattr__(self, "efforts", cleaned)
@@ -442,7 +450,7 @@ class AttackDistribution:
 
     def __post_init__(self) -> None:
         cleaned = tuple(
-            (fac, _validated_unit(p, f"attack prob on {fac!r}")) for fac, p in self.facility_probs
+            (fac, _validated_unit(p, "attack prob on", fac)) for fac, p in self.facility_probs
         )
         _reject_repeated_ids(cleaned)
         object.__setattr__(self, "facility_probs", cleaned)

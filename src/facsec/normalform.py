@@ -24,6 +24,7 @@ from .model import (
     FacilityPartition,
     FacilityProfile,
     Location,
+    _read,
     partition_by_cost,
 )
 
@@ -43,6 +44,12 @@ class RegimeKind(Enum):
     BOUNDARY = "boundary"
 
 
+def _label(kind: str, index: Optional[int]) -> str:
+    """The label of a regime of either game from its kind's value and its index,
+    as I-2 or II~-1; a boundary, whose index is None, reads "boundary"."""
+    return kind if index is None else f"{kind}-{index}"
+
+
 @dataclass(frozen=True)
 class NeRegime:
     kind: RegimeKind
@@ -50,9 +57,7 @@ class NeRegime:
 
     @property
     def label(self) -> str:
-        if self.kind is RegimeKind.BOUNDARY:
-            return "boundary"
-        return f"{self.kind.value}-{self.index}"
+        return _label(self.kind.value, self.index)
 
     @classmethod
     def at(cls, loc: Location) -> "NeRegime":
@@ -136,26 +141,27 @@ def _concede(
     )
 
 
-def _concession_utilities(partition: FacilityPartition, ca, cd, j: int):
+def _concession_utilities(partition: FacilityPartition, ca, cd, j):
     """(defender, attacker) utilities of the outcome of ``_concede``: C(j) and
-    the concession spend T_j (``FacilityPartition.concession_spends``). ``ca`` and
-    ``cd`` are floats or arrays, as in ``_ne_utilities``."""
-    cj = partition.level_costs.item(j - 1)
-    return -cj - cd * partition.concession_spends.item(j), cj - ca
+    the concession spend T_j (``FacilityPartition.concession_spends``). The
+    arguments are numbers or arrays, as in ``_ne_utilities``."""
+    cj = _read(partition.level_costs, j - 1)
+    return -cj - cd * _read(partition.concession_spends, j), cj - ca
 
 
-def _ne_utilities(partition: FacilityPartition, ca, cd, regime: NeRegime):
-    """(defender, attacker) utilities of a non-boundary regime at (ca, cd).
+def _ne_utilities(partition: FacilityPartition, ca, cd, kind: RegimeKind, index):
+    """(defender, attacker) utilities of the non-boundary regime ``kind``-``index``
+    at (ca, cd): I-i reads N_i alone, Ud = -C0 - cd*N_i.
 
-    ``ca`` and ``cd`` are floats or arrays of equal shape. Every operation is
-    elementwise, so each element of an array result has the float result's bits.
-    I-i reads N_i alone: Ud = -C0 - cd*N_i.
+    ``ca``, ``cd`` and ``index`` are numbers, or arrays that broadcast against
+    each other, index being i for Type I and j for Type II. Every operation is
+    elementwise, so each element of an array result has the number result's bits.
     """
-    if regime.kind is RegimeKind.TYPE_I:
+    if kind is RegimeKind.TYPE_I:
         c0 = partition.baseline_cost
-        return -c0 - cd * partition.prefix_sizes.item(regime.index), c0
-    if regime.kind is RegimeKind.TYPE_II:
-        return _concession_utilities(partition, ca, cd, regime.index)
+        return -c0 - cd * _read(partition.prefix_sizes, index), c0
+    if kind is RegimeKind.TYPE_II:
+        return _concession_utilities(partition, ca, cd, index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")
 
 
@@ -164,7 +170,7 @@ def ne_utilities(
 ) -> tuple[float, float]:
     """Equilibrium (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    return _ne_utilities(partition, params.attack_cost, params.defense_cost, regime)
+    return _ne_utilities(partition, params.attack_cost, params.defense_cost, regime.kind, regime.index)
 
 
 def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibrium:
@@ -186,7 +192,7 @@ def solve_ne(profile: FacilityProfile, params: CostParams) -> NormalFormEquilibr
         dist = AttackDistribution.over(profile, attack)
     else:
         eff, dist = _concede(profile, partition, cd, regime.index)
-    ud, ua = _ne_utilities(partition, ca, cd, regime)
+    ud, ua = _ne_utilities(partition, ca, cd, regime.kind, regime.index)
     return NormalFormEquilibrium(regime, eff, dist, ud, ua)
 
 

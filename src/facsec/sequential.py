@@ -24,7 +24,7 @@ from .model import (
     on_boundary,
     partition_by_cost,
 )
-from .normalform import BoundaryParameters, _concede, _concession_utilities, _deter
+from .normalform import BoundaryParameters, _concede, _concession_utilities, _deter, _label
 
 
 class OutOfDomain(ValueError):
@@ -48,9 +48,7 @@ class SpeRegime:
 
     @property
     def label(self) -> str:
-        if self.kind is SpeRegimeKind.BOUNDARY:
-            return "boundary"
-        return f"{self.kind.value}-{self.index}"
+        return _label(self.kind.value, self.index)
 
     @classmethod
     def at(cls, loc: Location) -> "SpeRegime":
@@ -116,15 +114,15 @@ def classify_regime_spe(profile: FacilityProfile, params: CostParams) -> SpeRegi
     return SpeRegime.at(loc)
 
 
-def _spe_utilities(partition: FacilityPartition, ca, cd, regime: SpeRegime):
-    """Equilibrium-path (defender, attacker) utilities of a non-boundary regime
-    at (ca, cd), on floats or arrays as in ``normalform._ne_utilities``. In
-    I~-i, Ud = -C0 - cd*(N_i - ca*S_i), the deterrence spend."""
-    if regime.kind is SpeRegimeKind.TYPE_I:
+def _spe_utilities(partition: FacilityPartition, ca, cd, kind: SpeRegimeKind, index):
+    """Equilibrium-path (defender, attacker) utilities of the non-boundary regime
+    ``kind``-``index`` at (ca, cd), on numbers or arrays as in ``normalform._ne_utilities``.
+    In I~-i, Ud = -C0 - cd*(N_i - ca*S_i), the deterrence spend."""
+    if kind is SpeRegimeKind.TYPE_I:
         c0 = partition.baseline_cost
-        return -c0 - cd * partition.deterrence_spend(ca, regime.index), c0
-    if regime.kind is SpeRegimeKind.TYPE_II:
-        return _concession_utilities(partition, ca, cd, regime.index)
+        return -c0 - cd * partition.deterrence_spend(ca, index), c0
+    if kind is SpeRegimeKind.TYPE_II:
+        return _concession_utilities(partition, ca, cd, index)
     raise BoundaryParameters("no closed-form utilities on a regime boundary")
 
 
@@ -133,7 +131,7 @@ def spe_utilities(
 ) -> tuple[float, float]:
     """Equilibrium-path (defender, attacker) utilities for a non-boundary regime."""
     partition = partition_by_cost(profile)
-    return _spe_utilities(partition, params.attack_cost, params.defense_cost, regime)
+    return _spe_utilities(partition, params.attack_cost, params.defense_cost, regime.kind, regime.index)
 
 
 def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:
@@ -155,5 +153,5 @@ def solve_spe(profile: FacilityProfile, params: CostParams) -> SpeOutcome:
     else:
         eff, witness = _concede(profile, partition, cd, regime.index)
         on_path = OnPathAttack(False, partition.members_up_to(regime.index), witness)
-    ud, ua = _spe_utilities(partition, ca, cd, regime)
+    ud, ua = _spe_utilities(partition, ca, cd, regime.kind, regime.index)
     return SpeOutcome(regime, eff, on_path, ud, ua)

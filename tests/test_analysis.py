@@ -216,6 +216,13 @@ def test_regime_sweep_leaves_boundary_sides_empty(profile3):
     assert cell.uds is None and cell.uas is None
 
 
+def test_regime_sweep_ignores_overflow_in_a_regime_a_cell_is_not_in(profile3):
+    # At cd = 7.5e307 every cell concedes to level 1, where T_1 = 0. Deterring there
+    # would cost cd*N_3 = 2.25e308, past the largest float; the sweep warns of nothing.
+    cells = regime_sweep(profile3, (0.0, 1.0), (0.0, 1e308), (1, 2))
+    assert [(c.ne_regime, c.spe_regime, c.ud, c.ua) for c in cells] == [("II-1", "II~-1", -20.0, 19.5)] * 2
+
+
 def test_write_sweep_csv_format(profile3):
     cells = regime_sweep(profile3, (2.5, 3.5), (0.5, 1.5), (5, 2))
     buf = io.StringIO()
@@ -388,6 +395,21 @@ def test_the_curve_next_to_its_pole_reads_the_unrounded_edge(rel):
     assert_placed_as_the_reference(partition, [ca], [cd])
 
 
+def assert_cell_is_the_scalar_path(profile, cell, loc):
+    """``cell`` has the labels of ``loc`` and the bits of ``ne_utilities`` and
+    ``spe_utilities`` at its (ca, cd), a utility unset where its label is boundary."""
+    ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
+    assert (cell.ne_regime, cell.spe_regime, cell.region) == (ne.label, spe.label, loc.region), cell
+    params = CostParams(cell.ca, cell.cd)
+    ud = ua = uds = uas = None
+    if ne.label != "boundary":
+        ud, ua = ne_utilities(profile, params, ne)
+    if spe.label != "boundary":
+        uds, uas = spe_utilities(profile, params, spe)
+    got, want = (cell.ud, cell.ua, cell.uds, cell.uas), (ud, ua, uds, uas)
+    assert [v if v is None else v.hex() for v in got] == [v if v is None else v.hex() for v in want], cell
+
+
 def boundary_cells_of_a_sweep_from(profile, edge, band) -> int:
     """Sweep ``profile`` on an 8x16 grid whose first midpoint is (edge, band), check
     every cell against the reference locator and the scalar utilities, and count the
@@ -399,16 +421,7 @@ def boundary_cells_of_a_sweep_from(profile, edge, band) -> int:
     assert (cells[0].ca, cells[0].cd) == (edge, band)
     hits = 0
     for cell in cells:
-        loc = reference_locate(partition, cell.ca, cell.cd)
-        ne, spe = NeRegime.at(loc), SpeRegime.at(loc)
-        assert (cell.ne_regime, cell.spe_regime, cell.region) == (ne.label, spe.label, loc.region)
-        params = CostParams(cell.ca, cell.cd)
-        ud = ua = uds = uas = None
-        if ne.label != "boundary":
-            ud, ua = ne_utilities(profile, params, ne)
-        if spe.label != "boundary":
-            uds, uas = spe_utilities(profile, params, spe)
-        assert (cell.ud, cell.ua, cell.uds, cell.uas) == (ud, ua, uds, uas), cell
+        assert_cell_is_the_scalar_path(profile, cell, reference_locate(partition, cell.ca, cell.cd))
         hits += "boundary" in (cell.ne_regime, cell.spe_regime, cell.region)
     return hits
 
@@ -468,9 +481,9 @@ def test_utilities_match_the_per_level_sums_exactly():
                         points.setdefault((regime, utilities), []).append((float(x), float(y)))
         for (regime, utilities), cells in points.items():
             seen.add(regime.label.split("-")[0])
-            ud, ua = utilities(partition, *np.array(cells).T, regime)
+            ud, ua = utilities(partition, *np.array(cells).T, regime.kind, regime.index)
             for t, (x, y) in enumerate(cells):
-                got = utilities(partition, x, y, regime)
+                got = utilities(partition, x, y, regime.kind, regime.index)
                 assert [type(v) for v in got] == [float, float]
                 # the array form has the scalar form's bits
                 assert (np.broadcast_to(ud, len(cells))[t], np.broadcast_to(ua, len(cells))[t]) == got
@@ -480,14 +493,19 @@ def test_utilities_match_the_per_level_sums_exactly():
     assert seen == {"I", "I~", "II", "II~"}
 
 
+def profile_of_2000_facilities() -> FacilityProfile:
+    """2000 post-attack costs drawn from 12-18 over a baseline of 10: 2000 levels."""
+    costs = np.random.default_rng(2000).uniform(12.0, 18.0, size=2000)
+    return FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs)))
+
+
 def test_closed_forms_at_2000_facilities():
     # The closed forms cost O(K) to set up, O(log K) per curve lookup and O(1)
     # per utility, read from the prefix sums S_k, N_k and T_k. So 2000 facilities
     # (about as many cost levels) take well under a second, and a 200x200 sweep,
-    # whose utilities run once per regime present (a few hundred), under half one.
-    rng = np.random.default_rng(2000)
-    costs = rng.uniform(12.0, 18.0, size=2000)
-    profile = FacilityProfile(10.0, tuple((f"f{t}", float(c)) for t, c in enumerate(costs)))
+    # whose utilities take one pass over its cells, with no loop over the few
+    # hundred regimes present, under half one.
+    profile = profile_of_2000_facilities()
     params = CostParams(1.0, 0.05)
     partition_by_cost.cache_clear()
     start = time.process_time()
@@ -504,6 +522,38 @@ def test_closed_forms_at_2000_facilities():
     elapsed = time.process_time() - start
     assert len(grid) == 200 * 200 and len(set(grid.spe_regime.ravel().tolist())) > 200
     assert elapsed < 0.5
+
+
+def test_regime_sweep_matches_the_scalar_path_at_2000_facilities():
+    # The sweep reads N_i, C(j), T_j and the deterrence spend at level indices up to
+    # K = 2000. Check 400 cells of the 200x200 sweep above against locate and the scalar
+    # utilities, then a row of 200 cells on a level edge and a column of 200 on a band
+    # constant: ranges (0, 400 v) on 200 steps put the first midpoint on v for most v.
+    profile = profile_of_2000_facilities()
+    partition = partition_by_cost(profile)
+    assert partition.K == 2000
+
+    def check(cells, sample) -> set[str]:
+        for t in sample:
+            cell = cells[t]
+            assert_cell_is_the_scalar_path(profile, cell, partition.locate(cell.ca, cell.cd))
+        return {label for t in sample for label in (cells[t].ne_regime, cells[t].spe_regime)}
+
+    def on_line(values):
+        return next(v for v in values.tolist() if (400 * v) / 200 * 0.5 == v)
+
+    rng = np.random.default_rng(27)
+    sample = rng.choice(200 * 200, size=400, replace=False).tolist()
+    labels = check(regime_sweep(profile, (0, 8), (0, 0.2), 200), sample)
+    assert {label.split("-")[0] for label in labels} == {"I", "I~", "II", "II~"}
+    assert len(labels) > 200
+
+    edge, band = on_line(partition.edges[50:]), on_line(partition.bands[1000:])
+    row = regime_sweep(profile, (0.0, 400 * edge), (0, 0.2), 200)
+    column = regime_sweep(profile, (0, 8), (0.0, 400 * band), 200)
+    assert set(row.ca[:1]) == {edge} and set(column.cd[:1]) == {band}
+    assert "boundary" in check(row, range(200))
+    assert "boundary" in check(column, range(0, 200 * 200, 200))
 
 
 def test_locate_at_2000_facilities_tests_only_the_lines_near_the_point():

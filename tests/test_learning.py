@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -127,6 +128,16 @@ def test_stage_step_requires_positive_noise(cal_network):
         stage_step(belief, cal_network, 0.0, None, np.random.default_rng(0))
     with pytest.raises(LearningError, match="nan"):
         stage_step(belief, cal_network, float("nan"), None, np.random.default_rng(0))
+
+
+def test_stage_step_rejects_a_noise_band_wider_than_the_floats(cal_network):
+    # the noise is drawn on [-b, b], whose width 2b must be a finite float
+    belief = Belief(((None, 1.0),))
+    for b in (1e308, float("inf")):
+        with pytest.raises(LearningError, match="half the largest float"):
+            stage_step(belief, cal_network, b, None, np.random.default_rng(0))
+    widest = sys.float_info.max / 2
+    assert stage_step(belief, cal_network, widest, None, np.random.default_rng(0)).stage == 1
 
 
 def test_stage_step_eliminates_separated_states():

@@ -513,6 +513,16 @@ def test_cli_rejects_an_edge_latency_that_overflows(capsys, tmp_path):
     assert "edge 'e2': latency not finite at load 1e+300" in out
 
 
+def test_cli_rejects_a_noise_band_wider_than_the_floats(capsys, tmp_path):
+    # 2b overflows at b = 1e308: an error line and exit 1, not numpy's traceback
+    path = tmp_path / "wide.scn"
+    path.write_text(LOCKIN.read_text().replace("noise_half_width 3", "noise_half_width 1e308"))
+    assert "noise_half_width 1e308\n" in path.read_text()
+    code, out = run_cli(capsys, "simulate", "--scenario", str(path), "--horizon", "2")
+    assert code == 1
+    assert out == "error: noise half-width must be at most half the largest float, got 1e+308\n"
+
+
 SIMULATE_GOLDEN = {
     (LOCKIN, 7): "55ff9094740d4a9d79121e389ba6df5162b8609af2f60d10a9df9aed2d03dddd",
     (LOCKIN, 13): "c7e270a0fb2ccc6c97d2aae0aadd2466695747fca0c5c4acd7cc2fe1d45992ac",
