@@ -6,6 +6,9 @@ byte-identical. Exit codes: 0 success, 1 input error, 2 boundary parameters
 handled by a fallback, 3 verification failure or internal inconsistency. A
 reader that closes stdout early (``facsec regimes ... | head``) ends the
 output, with exit code 0.
+
+Each subcommand imports the solver layers it calls, so a call loads only what
+its command and its scenario use.
 """
 
 from __future__ import annotations
@@ -16,13 +19,8 @@ import os
 import sys
 from typing import Callable, Optional, Sequence
 
-from .analysis import InternalInconsistency, compare_games, regime_sweep, write_sweep_csv
-from .learning import SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv
 from .model import BOUNDARY_TOL, CHECK_EPS, EffortVector, expected_utilities, on_boundary
-from .normalform import BoundaryParameters, solve_ne
-from .oracle import attacker_lp_optimum, verify_ne, verify_spe
 from .scenario import Scenario, load_scenario
-from .sequential import solve_spe
 
 _NO_VULNERABLE = "no vulnerable facilities; no attack"
 
@@ -44,17 +42,24 @@ def _pairs(items) -> str:
     return " ".join(f"{key}={_fmt(value)}" for key, value in items)
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as err:  # in the form load_scenario reports an unreadable --scenario
+        raise _UsageError(f"{path}: {err.strerror or err}") from None
+
+
 def _emit(args: argparse.Namespace, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
+        with _open_out(args.out) as fh:
             fh.write(text)
 
 
 def _write_csv(args: argparse.Namespace, write: Callable) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
+        with _open_out(args.out) as fh:
             write(fh)
     else:
         write(sys.stdout)
@@ -70,9 +75,13 @@ def _lp_report(sol) -> list[str]:
 
 
 def _cmd_solve_ne(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .normalform import BoundaryParameters, solve_ne
+
     try:
         eq = solve_ne(scenario.profile, scenario.params)
     except BoundaryParameters:
+        from .oracle import attacker_lp_optimum
+
         lines = ["regime: boundary",
                  "note: parameters on a regime boundary; reporting the attacker LP optimum"]
         _emit(args, lines + _lp_report(attacker_lp_optimum(scenario.profile, scenario.params)))
@@ -91,6 +100,9 @@ def _cmd_solve_ne(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_spe(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .normalform import BoundaryParameters
+    from .sequential import solve_spe
+
     try:
         out = solve_spe(scenario.profile, scenario.params)
     except BoundaryParameters:
@@ -115,11 +127,17 @@ def _cmd_solve_spe(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import InternalInconsistency, compare_games
+    from .normalform import BoundaryParameters
+
     try:
         cmp = compare_games(scenario.profile, scenario.params)
     except BoundaryParameters as err:
         _emit(args, ["region: boundary", f"note: {err}"])
         return 2
+    except InternalInconsistency as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     lines = [
         f"region: {cmp.region.value}, gap: {_fmt(cmp.utility_gap)}",
         f"Ud: {_fmt(cmp.ne.defender_utility)}",
@@ -143,6 +161,8 @@ def _parse_grid(text: str):
 
 
 def _cmd_regimes(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import regime_sweep, write_sweep_csv
+
     ca_range, cd_range, steps = _parse_grid(args.grid)
     cells = regime_sweep(scenario.profile, ca_range, cd_range, steps)
     _write_csv(args, lambda fh: write_sweep_csv(cells, fh))
@@ -154,6 +174,10 @@ def _cmd_verify(scenario: Scenario, args: argparse.Namespace) -> int:
         raise _UsageError(f"bad --eps {args.eps!r}; expected a finite number at least 0")
     if not math.isfinite(args.perturb):
         raise _UsageError(f"bad --perturb {args.perturb!r}; expected a finite number")
+    from .normalform import BoundaryParameters, solve_ne
+    from .oracle import attacker_lp_optimum, verify_ne, verify_spe
+    from .sequential import solve_spe
+
     profile, params = scenario.profile, scenario.params
     lp_sol = attacker_lp_optimum(profile, params)
     try:
@@ -212,13 +236,20 @@ def _cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.learning is None or scenario.network is None:
         print("error: scenario has no [learning] section", file=sys.stderr)
         return 1
+    from .learning import (
+        SimulationConfig, StateDistribution, run_simulation, state_distribution, write_trace_csv,
+    )
+
     settings = scenario.learning
     horizon = args.horizon if args.horizon is not None else settings.horizon
     token = settings.true_state
     if token == "none":
         dist = StateDistribution.point(None)
     elif token in ("ne", "spe"):
-        solver = solve_ne if token == "ne" else solve_spe
+        from .normalform import BoundaryParameters, solve_ne as solver
+
+        if token == "spe":
+            from .sequential import solve_spe as solver
         try:
             dist = state_distribution(solver(scenario.profile, scenario.params))
         except BoundaryParameters as err:
@@ -284,9 +315,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except InternalInconsistency as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

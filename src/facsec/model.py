@@ -150,7 +150,17 @@ class FacilityProfile:
     def _cost_map(self) -> dict[FacilityId, float]:
         return dict(self.facilities)
 
-    @property
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.baseline_cost, self.facilities))
+
+    def __hash__(self) -> int:  # read on every partition_by_cost lookup
+        return self._hash
+
+    def __reduce__(self):  # a string's hash differs between processes: pickle no cached hash
+        return FacilityProfile, (self.baseline_cost, self.facilities)
+
+    @cached_property
     def facility_ids(self) -> tuple[FacilityId, ...]:
         return tuple(fac for fac, _ in self.facilities)
 
@@ -230,6 +240,12 @@ class FacilityPartition:
         return len(self.members)
 
     @cached_property
+    def _member_counts(self) -> np.ndarray:
+        """N_1..N_K as floats, so that ``_curve`` searches them for a spend without
+        casting them on every call; exact, as each count is below 2**53."""
+        return self.prefix_sizes[1:].astype(float)
+
+    @cached_property
     def _negated(self) -> tuple[np.ndarray, np.ndarray]:
         """-edges and -bands, ascending, for ``_count_above`` and ``_near``."""
         return -self.edges, -self.bands
@@ -254,7 +270,7 @@ class FacilityPartition:
         j is the piece that holds ca: it ends where the deterrence spend falls to N_{j-1}."""
         deter = self.deterrence_spend(ca, i)
         if j is None:  # rounding may lift the spend above N_i at ca = 0
-            j = np.minimum(1 + self.prefix_sizes[1:].searchsorted(deter), i)
+            j = np.minimum(1 + self._member_counts.searchsorted(deter), i)
         return self.edges[j - 1], deter - self.concession_spends[j]
 
     def _curve_value(self, ca, i):

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from .learning import Belief, LearningError
 from .model import CostParams, FacilityProfile, ModelError
-from .routing import AffineLatency, Edge, NetworkError, Route, RoutedNetwork
+
+if TYPE_CHECKING:  # imported by parse_scenario only for a scenario that has the section
+    from .learning import Belief
+    from .routing import RoutedNetwork
+
 
 class ScenarioError(ValueError):
     """Malformed scenario file; message carries the source line."""
@@ -118,8 +121,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     section_line: dict[str, int] = {}
     settings: dict[str, Union[float, int, str]] = {}
     facility_rows: list[tuple[str, float]] = []
-    edges: list[Edge] = []
-    routes: list[Route] = []
+    edge_rows: list[tuple[str, list[float]]] = []
+    route_rows: list[tuple[str, tuple[str, ...]]] = []
     prior_rows: list[tuple[Optional[str], float]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,10 +155,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         elif section == "network" and key == "edge" and count == 6:
             if tokens[1] in _RESERVED_IDS:
                 raise ScenarioError(f"{where}: edge id {tokens[1]!r} is a reserved word")
-            a, b, c, d = [_number(t, where) for t in tokens[2:]]
-            edges.append(Edge(tokens[1], AffineLatency(a, b), AffineLatency(c, d)))
+            edge_rows.append((tokens[1], [_number(t, where) for t in tokens[2:]]))
         elif section == "network" and key == "route" and count >= 3:
-            routes.append(Route(tokens[1], tuple(tokens[2:])))
+            route_rows.append((tokens[1], tuple(tokens[2:])))
         elif section == "learning" and key == "prior" and count == 3:
             prior_rows.append((None if tokens[1] == "none" else tokens[1], _number(tokens[2], where)))
         else:
@@ -173,14 +175,20 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
 
     network: Optional[RoutedNetwork] = None
     if "network" in section_line:
+        from .routing import AffineLatency, Edge, NetworkError, Route, RoutedNetwork
+
         _require(settings, ("network",), section_line, source)
+        edges = tuple(Edge(e, AffineLatency(a, b), AffineLatency(c, d)) for e, (a, b, c, d) in edge_rows)
+        routes = tuple(Route(r, route_edges) for r, route_edges in route_rows)
         try:
-            network = RoutedNetwork(tuple(edges), tuple(routes), settings["demand"])
+            network = RoutedNetwork(edges, routes, settings["demand"])
         except NetworkError as err:
             raise ScenarioError(f"{source}:{section_line['network']}: {err}") from None
 
     learning: Optional[LearningSettings] = None
     if "learning" in section_line:
+        from .learning import Belief, LearningError
+
         here = f"{source}:{section_line['learning']}"
         if network is None:
             raise ScenarioError(f"{here}: [learning] requires a [network] section")

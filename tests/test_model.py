@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tokenize
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from facsec.model import (
     partition_by_cost,
     vulnerable_set,
 )
+from facsec.scenario import parse_scenario
 
 
 def test_profile_validation():
@@ -128,6 +130,19 @@ def test_partition_requires_an_increased_facility():
     flat = FacilityProfile(10.0, (("a", 10.0), ("b", 9.0)))
     with pytest.raises(EmptyVulnerableUniverse):
         partition_by_cost(flat)
+
+
+def test_equal_profiles_share_one_partition_and_cache_their_ids():
+    text = "[facilities]\nbaseline_cost 10\na 12\nb 11\nc 12\n[costs]\nattack_cost 1\ndefense_cost 0.1\n"
+    first, second = parse_scenario(text).profile, parse_scenario(text).profile
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert partition_by_cost(first) is partition_by_cost(second)
+    assert first.facility_ids == ("a", "b", "c")
+    assert first.facility_ids is first.facility_ids
+    # the hash of a string id changes between processes, so a pickle carries no cached hash
+    hash(first)
+    copy = pickle.loads(pickle.dumps(first))
+    assert copy == first and "_hash" not in vars(copy)
 
 
 def test_vulnerable_set_is_strict(profile3):

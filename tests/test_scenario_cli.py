@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from facsec import cli, scenario
+from facsec import analysis, normalform, oracle, scenario
 from facsec.cli import main
 from facsec.model import CostParams, FacilityProfile
 from facsec.routing import usage_cost_for_state
@@ -360,13 +360,13 @@ def test_cli_verify_rejects_a_bad_tolerance_or_perturbation(capsys, flag, value)
 
 
 def test_cli_verify_checks_the_claimed_ne_utilities(capsys, monkeypatch):
-    solve_ne = cli.solve_ne
+    solve_ne = normalform.solve_ne
 
     def wrong_ud(profile, params):
         eq = solve_ne(profile, params)
         return dataclasses.replace(eq, defender_utility=eq.defender_utility + 1e-6)
 
-    monkeypatch.setattr(cli, "solve_ne", wrong_ud)
+    monkeypatch.setattr(normalform, "solve_ne", wrong_ud)
     code, out = run_cli(capsys, "verify", "--scenario", str(THREE))
     assert code == 3
     assert "check ne: mutual best responses within 1e-09 -- FAILED -- claimed Ud -17.8999" in out
@@ -381,13 +381,13 @@ def test_cli_verify_eps_reaches_the_lp_check(capsys, monkeypatch):
     code, out = run_cli(capsys, "verify", "--scenario", str(THREE), "--eps", "0")
     assert code == 0, out
     assert "check ne: mutual best responses within 1e-12 -- ok\n" in out
-    lp_optimum = cli.attacker_lp_optimum
+    lp_optimum = oracle.attacker_lp_optimum
 
     def off_optimum(profile, params):
         sol = lp_optimum(profile, params)
         return dataclasses.replace(sol, value=sol.value * (1.0 + 5e-9))
 
-    monkeypatch.setattr(cli, "attacker_lp_optimum", off_optimum)
+    monkeypatch.setattr(oracle, "attacker_lp_optimum", off_optimum)
     code, out = run_cli(capsys, "verify", "--scenario", str(THREE))
     assert code == 3
     assert out.startswith("check lp: closed-form value 17.625, LP optimum 17.6250001 -- FAILED\n"), out
@@ -652,6 +652,34 @@ def test_cli_out_mirrors_stdout(capsys, tmp_path):
     code, out = run_cli(capsys, "solve-ne", "--scenario", str(THREE), "--out", str(dest))
     assert code == 0
     assert dest.read_text() == out
+
+
+def test_cli_reports_an_out_path_it_cannot_open(capsys, tmp_path):
+    """An --out that cannot be opened is reported like an unreadable --scenario:
+    one error line and exit 1. A report still reaches stdout before it."""
+    dest = tmp_path / "missing" / "x.txt"
+    code = main(["solve-ne", "--scenario", str(THREE), "--out", str(dest)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("regime: ")
+    assert captured.err == f"error: {dest}: No such file or directory\n"
+    code = main(["regimes", "--scenario", str(THREE), "--grid", "0:4:3,0:4:3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_cli_compare_exits_3_on_an_internal_inconsistency(capsys, monkeypatch):
+    def disagree(*args):
+        raise analysis.InternalInconsistency("closed forms disagree: Uds >= Ud")
+
+    monkeypatch.setattr(analysis, "_check_relations", disagree)
+    code = main(["compare", "--scenario", str(THREE)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: closed forms disagree: Uds >= Ud\n"
 
 
 @pytest.mark.parametrize("command", [
