@@ -63,9 +63,6 @@ class StateDistribution:
                 return p
         return 0.0
 
-    def as_dict(self) -> dict[State, float]:
-        return dict(self.probs)
-
     @property
     def states(self) -> tuple[State, ...]:
         return tuple(s for s, _ in self.probs)

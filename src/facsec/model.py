@@ -151,16 +151,6 @@ class FacilityProfile:
         return dict(self.facilities)
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.baseline_cost, self.facilities))
-
-    def __hash__(self) -> int:  # read on every partition_by_cost lookup
-        return self._hash
-
-    def __reduce__(self):  # a string's hash differs between processes: pickle no cached hash
-        return FacilityProfile, (self.baseline_cost, self.facilities)
-
-    @cached_property
     def facility_ids(self) -> tuple[FacilityId, ...]:
         return tuple(fac for fac, _ in self.facilities)
 
@@ -182,7 +172,8 @@ class CostParams:
 
 @dataclass(frozen=True)
 class Location:
-    """Where (ca, cd) lies in the regime diagram of a partition."""
+    """Where (ca, cd) lies in the regime diagram of a partition. From ``locate_grid``,
+    the same for a whole grid, as arrays: ``i`` per row, ``j`` per column, the rest per cell."""
 
     i: int  # bracket: the levels whose edge C(k)-C0 exceeds ca
     j: int  # concession level: 1 + the band constants above cd (K + 1 below all)
@@ -190,18 +181,6 @@ class Location:
     region: str  # the CostRegion value: "L", "M", "H", "boundary" or "none"
     on_ne_line: bool  # on a line between two regimes of the simultaneous game
     on_spe_line: bool  # on a line between two regimes of the sequential game
-
-
-@dataclass(frozen=True, eq=False)
-class LocationGrid:
-    """``Location`` for every (ca, cd) of a grid: rows follow ca, columns cd."""
-
-    i: np.ndarray  # per row
-    j: np.ndarray  # per column
-    below_curve: np.ndarray  # per cell, as are the rest
-    region: np.ndarray
-    on_ne_line: np.ndarray
-    on_spe_line: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +327,11 @@ class FacilityPartition:
         i, j, below, region, on_ne, on_spe = self._place(ca, cd)
         return Location(int(i), int(j), bool(below), region, bool(on_ne), bool(on_spe))
 
-    def locate_grid(self, ca: np.ndarray, cd: np.ndarray) -> LocationGrid:
+    def locate_grid(self, ca: np.ndarray, cd: np.ndarray) -> Location:
         """``locate`` at every (ca, cd) of the axes ``ca`` and ``cd``, by the same
         rules: ca runs down the rows and cd along the columns."""
         i, j, below, region, on_ne, on_spe = self._place(ca[:, None], cd)
-        return LocationGrid(i[:, 0], j, below, region, on_ne, on_spe)
+        return Location(i[:, 0], j, below, region, on_ne, on_spe)
 
     def members_up_to(self, k: int) -> tuple[FacilityId, ...]:
         """All facilities in levels 1..k."""

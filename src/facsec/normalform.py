@@ -11,6 +11,7 @@ probability one and the defender equalizes the top cost levels downward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -24,6 +25,7 @@ from .model import (
     FacilityPartition,
     FacilityProfile,
     Location,
+    ModelError,
     _read,
     partition_by_cost,
 )
@@ -82,8 +84,11 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
     """Defense cost below which every vulnerable facility gets protected in equilibrium.
 
     Equals the harmonic-style aggregate (sum over vulnerable e of 1/(Ce-C0))^-1.
-    Raises EmptyVulnerableUniverse when the attack cost leaves nothing vulnerable.
+    Raises EmptyVulnerableUniverse when the attack cost leaves nothing vulnerable,
+    and ModelError when it is not a number.
     """
+    if math.isnan(attack_cost):
+        raise ModelError(f"attack cost {attack_cost!r} is not a number")
     partition = partition_by_cost(profile)
     i = partition.bracket(attack_cost)
     if i == 0:

@@ -169,9 +169,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     _require(settings, ("facilities", "costs"), section_line, source)
     try:
         profile = FacilityProfile(settings["baseline_cost"], tuple(facility_rows))
-        params = CostParams(settings["attack_cost"], settings["defense_cost"])
     except ModelError as err:
         raise ScenarioError(f"{source}:{section_line['facilities']}: {err}") from None
+    try:
+        params = CostParams(settings["attack_cost"], settings["defense_cost"])
+    except ModelError as err:
+        raise ScenarioError(f"{source}:{section_line['costs']}: {err}") from None
 
     network: Optional[RoutedNetwork] = None
     if "network" in section_line:

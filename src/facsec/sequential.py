@@ -9,6 +9,7 @@ simultaneous-game outcome with full-probability attacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -28,7 +29,7 @@ from .normalform import BoundaryParameters, _concede, _concession_utilities, _de
 
 
 class OutOfDomain(ValueError):
-    """Argument outside the function's domain (level indices or attack cost)."""
+    """Argument outside the function's domain: an attack cost, or a cost that is not a number."""
 
 
 class BelowRange(ValueError):
@@ -86,7 +87,7 @@ def cd_threshold_tilde(profile: FacilityProfile, attack_cost: float) -> float:
     """
     partition = partition_by_cost(profile)
     cap = partition.edges.item(0)
-    if attack_cost < 0.0 or attack_cost >= cap:
+    if not 0.0 <= attack_cost < cap:  # NaN fails too
         raise OutOfDomain(f"attack cost {attack_cost!r} outside [0, {cap!r})")
     return partition.cd_tilde(attack_cost)
 
@@ -97,8 +98,11 @@ def cd_tilde_inverse(profile: FacilityProfile, defense_cost: float) -> float:
     On piece (i, j), ca = (N_i - T_j - (C(j)-C0)/cd) / S_i (see
     ``FacilityPartition.cd_ij``), clipped to bracket i. Bisections find j, the
     concession level, and i, the bracket whose ends hold cd, in O(log K) curve
-    values. Raises BelowRange below the curve's value at attack cost 0.
+    values. Raises BelowRange below the curve's value at attack cost 0, and
+    OutOfDomain at NaN.
     """
+    if math.isnan(defense_cost):
+        raise OutOfDomain(f"defense cost {defense_cost!r} is not a number")
     partition = partition_by_cost(profile)
     base = partition.cd_tilde(0.0)
     if defense_cost <= base:

@@ -4,6 +4,7 @@ import io
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,13 +14,15 @@ import pytest
 from facsec.analysis import (
     SWEEP_COLUMNS,
     CostRegion,
+    InternalInconsistency,
+    _check_relations,
     classify_cost_region,
     compare_games,
     regime_sweep,
     write_sweep_csv,
 )
 from facsec.cli import main
-from facsec.model import CostParams, FacilityProfile, partition_by_cost
+from facsec.model import CostParams, EffortVector, FacilityProfile, partition_by_cost
 from facsec.normalform import (
     BoundaryParameters,
     NeRegime,
@@ -253,6 +256,36 @@ def test_relations_hold_on_random_instances():
         if cmp.region in (CostRegion.HIGH, CostRegion.NO_VULNERABLE):
             assert abs(cmp.utility_gap) <= 1e-9
     assert len(seen) >= 2  # the generator reaches several regions
+
+
+def _with_effort(profile, result, fac, value):
+    return replace(result, effort=EffortVector.over(profile, {**result.effort.as_dict(), fac: value}))
+
+
+# (attack cost, defense cost, region, the relation broken, how to break it in (ne, spe))
+BROKEN_RELATIONS = [
+    (0.5, 0.3, "L", "Uds >= Ud", lambda p, ne, spe: (ne, replace(spe, defender_utility=ne.defender_utility - 1.0))),
+    (0.5, 0.3, "L", "Ua == Uas", lambda p, ne, spe: (ne, replace(spe, attacker_utility=ne.attacker_utility - 1.0))),
+    (0.5, 2.0, "H", "identical effort on 'e1'", lambda p, ne, spe: (ne, _with_effort(p, spe, "e1", 1.0))),
+    (0.5, 0.8, "M", "Ua > Uas", lambda p, ne, spe: (ne, replace(spe, attacker_utility=ne.attacker_utility + 1.0))),
+    (0.5, 0.8, "M", "commitment effort above simultaneous on 'e2'",
+     lambda p, ne, spe: (_with_effort(p, ne, "e2", 1.0), spe)),
+    (5.0, 0.3, "none", "Ud == Uds", lambda p, ne, spe: (ne, replace(spe, defender_utility=ne.defender_utility + 1.0))),
+]
+
+
+@pytest.mark.parametrize("ca, cd, region, relation, broken", BROKEN_RELATIONS, ids=[row[3] for row in BROKEN_RELATIONS])
+def test_check_relations_names_the_broken_relation_and_its_region(profile3, ca, cd, region, relation, broken):
+    params = CostParams(ca, cd)
+    region = CostRegion(region)
+    ne, spe = solve_ne(profile3, params), solve_spe(profile3, params)
+    assert classify_cost_region(profile3, params) is region
+    _check_relations(profile3, params, region, ne, spe)  # the correct pair passes
+    with pytest.raises(InternalInconsistency) as info:
+        _check_relations(profile3, params, region, *broken(profile3, ne, spe))
+    assert str(info.value) == (
+        f"{relation} violated in region {region.value} at (attack_cost={ca!r}, defense_cost={cd!r})"
+    )
 
 
 def test_sweep_grid_reads_as_a_sequence_of_cells(profile3):

@@ -110,7 +110,7 @@ def test_state_distribution_takes_every_attack_the_model_accepts():
     attack = AttackDistribution.over(profile, {"a": 0.25, "b": 0.25}, no_attack=0.5 + 5e-10)
     eq = SimpleNamespace(effort=EffortVector.over(profile, {"a": 0.5}), attack=attack)
     dist = state_distribution(eq)
-    assert dist.as_dict() == {"a": 0.125, "b": 0.25, None: 0.625 + 5e-10}
+    assert dict(dist.probs) == {"a": 0.125, "b": 0.25, None: 0.625 + 5e-10}
 
 
 def test_belief_mixed_latencies(cal_network):
@@ -198,11 +198,11 @@ def test_run_simulation_is_reproducible(cal_network):
     for ra, rb in zip(a.records, b.records):
         assert ra.flow.route_flows == rb.flow.route_flows
         assert ra.observations == rb.observations
-        assert ra.belief_after.as_dict() == rb.belief_after.as_dict()
+        assert dict(ra.belief_after.probs) == dict(rb.belief_after.probs)
     for t, record in enumerate(a.records):
         assert record.stage == t + 1
     for prev, nxt in zip(a.records, list(a.records)[1:]):
-        assert nxt.belief_before.as_dict() == prev.belief_after.as_dict()
+        assert dict(nxt.belief_before.probs) == dict(prev.belief_after.probs)
 
 
 def test_fast_convergence_on_separated_states():

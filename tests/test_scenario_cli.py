@@ -198,6 +198,14 @@ def grammar_cases():
                        f":{network}: edge 'x' has negative latency coefficients", id="negative-edge")
     yield pytest.param(replaced("prior none 1", "prior none 0.95"),
                        f":{learning}: probabilities sum to 0.95, expected 1", id="prior-sum")
+    # the game's value checks, anchored at the header of the section that gives the value
+    facilities, costs = SECTION_AT["facilities"], SECTION_AT["costs"]
+    yield pytest.param(replaced("attack_cost 1", "attack_cost -0.5"),
+                       f":{costs}: attack cost must be positive", id="nonpositive-attack-cost")
+    yield pytest.param(replaced("defense_cost 1", "defense_cost 0"),
+                       f":{costs}: defense cost must be positive", id="nonpositive-defense-cost")
+    yield pytest.param(replaced("a 8", "a 0"),
+                       f":{facilities}: post-attack cost of 'a' must be positive", id="nonpositive-facility-cost")
 
 
 @pytest.mark.parametrize("lines, message", grammar_cases())

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from facsec.model import CostParams, EffortVector, FacilityProfile, NonpositiveDenominator, partition_by_cost
-from facsec.normalform import BoundaryParameters, solve_ne
+from facsec.model import (
+    CostParams,
+    EmptyVulnerableUniverse,
+    FacilityProfile,
+    ModelError,
+    NonpositiveDenominator,
+    partition_by_cost,
+)
+from facsec.normalform import BoundaryParameters, cd_threshold_bar, solve_ne
 from facsec.oracle import attacker_best_response_enum, verify_spe
 from facsec.sequential import (
     BelowRange,
@@ -49,6 +56,23 @@ def test_tilde_domain_ends(profile3):
         cd_threshold_tilde(profile3, 3.0)
     with pytest.raises(OutOfDomain):
         cd_threshold_tilde(profile3, 3.5)
+
+
+def test_threshold_functions_reject_nan_and_keep_their_answers_at_infinity(profile3):
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ModelError, match="attack cost nan"):
+        cd_threshold_bar(profile3, nan)
+    with pytest.raises(OutOfDomain, match="attack cost nan"):
+        cd_threshold_tilde(profile3, nan)
+    with pytest.raises(OutOfDomain, match="defense cost nan"):
+        cd_tilde_inverse(profile3, nan)
+    assert cd_threshold_bar(profile3, -inf) == pytest.approx(6 / 11)
+    with pytest.raises(EmptyVulnerableUniverse):
+        cd_threshold_bar(profile3, inf)
+    for x in (-inf, inf):
+        with pytest.raises(OutOfDomain):
+            cd_threshold_tilde(profile3, x)
+    assert cd_tilde_inverse(profile3, inf) == 3.0
 
 
 def test_tilde_inverse_golden(profile3):
