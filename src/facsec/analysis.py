@@ -261,24 +261,33 @@ def _formatted(values: np.ndarray, unset: np.ndarray) -> list[str]:
     return out.tolist()
 
 
+# The CSV goes out in blocks of whole grid rows, one write each: at most BLOCK_CELLS
+# cells, or one row where a row is longer. The text held at once is one block's.
+BLOCK_CELLS = 2048
+
+
 def write_sweep_csv(grid: SweepGrid, dest: TextIO) -> None:
     """Serialize a sweep to the writable text file ``dest``: one row per cell,
     numbers as ``%.9g``, and a utility left empty where its label is boundary.
     No field holds a comma, quote or line break, so none is quoted."""
-    n_ca, n_cd = grid.region.shape
+    n_cd = len(grid.cd)
     ca = [format(x, ".9g") for x in grid.ca.tolist()]
     cd = [format(x, ".9g") for x in grid.cd.tolist()]
-    ne_unset, spe_unset = grid.ne_regime == "boundary", grid.spe_regime == "boundary"
-    columns = (
-        [x for x in ca for _ in range(n_cd)],
-        cd * n_ca,
-        grid.ne_regime.ravel().tolist(),
-        grid.spe_regime.ravel().tolist(),
-        grid.region.ravel().tolist(),
-        _formatted(grid.ud, ne_unset),
-        _formatted(grid.uds, spe_unset),
-        _formatted(grid.ua, ne_unset),
-        _formatted(grid.uas, spe_unset),
-    )
+    rows = max(1, BLOCK_CELLS // n_cd)
     dest.write(",".join(SWEEP_COLUMNS) + "\n")
-    dest.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    for first in range(0, len(ca), rows):
+        block = slice(first, first + rows)
+        ne, spe = grid.ne_regime[block], grid.spe_regime[block]
+        ne_unset, spe_unset = ne == "boundary", spe == "boundary"
+        columns = (
+            [x for x in ca[block] for _ in range(n_cd)],
+            cd * len(ne),
+            ne.ravel().tolist(),
+            spe.ravel().tolist(),
+            grid.region[block].ravel().tolist(),
+            _formatted(grid.ud[block], ne_unset),
+            _formatted(grid.uds[block], spe_unset),
+            _formatted(grid.ua[block], ne_unset),
+            _formatted(grid.uas[block], spe_unset),
+        )
+        dest.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -52,16 +52,18 @@ LEMKE_PIVOT_TOL = 1e-12
 def on_boundary(x, line, tol=BOUNDARY_TOL):
     """True when ``x`` is within ``tol``, relative, of ``line``: the package's one closeness
     rule, on numbers or arrays. Rounding is monotone, so testing the distance against each of
-    tol*1, *|x| and *|line| decides as tol*max(1, |x|, |line|) does; a NaN anywhere fails it."""
+    tol*1, *|x| and *|line| decides as tol*max(1, |x|, |line|) does; an infinite distance,
+    which that scale would match, and a NaN anywhere fail it."""
     d = abs(x - line)
-    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line))
+    return (d < math.inf) & ((d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line)))
 
 
 def not_above(x, line, tol=BOUNDARY_TOL):
     """x below ``line`` or ``on_boundary`` with it, on numbers or arrays; it can only turn true
-    as ``line`` rises. x - line < 0 exactly when x < line, and a NaN anywhere fails it."""
+    as ``line`` rises. x - line < 0 exactly when x < line; x - line = inf and a NaN anywhere
+    fail it."""
     d = x - line
-    return (d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line))
+    return (d < math.inf) & ((d <= tol) | (d <= tol * abs(x)) | (d <= tol * abs(line)))
 
 
 def _count_above(negated: np.ndarray, x):
@@ -312,8 +314,8 @@ class FacilityPartition:
             on_ne = on_ne | under_top
             on_spe = on_spe | (crossed & not_above(cd, peak))
             boundary = boundary | (under_top & not_above(bands[stop - 1], cd))
-        curve = self._curve_value(ca, i)  # +inf at i = 0: the curve ends at C(1)-C0
-        below, on_curve = (cd < curve) | edge1, (i > 0) & ~edge1 & on_boundary(cd, curve)
+        curve = self._curve_value(ca, i)  # +inf at i = 0, on no boundary: the curve ends at C(1)-C0
+        below, on_curve = (cd < curve) | edge1, ~edge1 & on_boundary(cd, curve)
         band_hit = band_first < band_stop
         on_ne = on_ne | (band_hit & (band_first < i))
         # above the curve yet below every band (j > K) happens only by rounding

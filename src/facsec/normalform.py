@@ -11,7 +11,6 @@ probability one and the defender equalizes the top cost levels downward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -85,10 +84,10 @@ def cd_threshold_bar(profile: FacilityProfile, attack_cost: float) -> float:
 
     Equals the harmonic-style aggregate (sum over vulnerable e of 1/(Ce-C0))^-1.
     Raises EmptyVulnerableUniverse when the attack cost leaves nothing vulnerable,
-    and ModelError when it is not a number.
+    and ModelError when it is negative or not a number.
     """
-    if math.isnan(attack_cost):
-        raise ModelError(f"attack cost {attack_cost!r} is not a number")
+    if not attack_cost >= 0.0:  # NaN fails too
+        raise ModelError(f"attack cost {attack_cost!r} is negative or not a number")
     partition = partition_by_cost(profile)
     i = partition.bracket(attack_cost)
     if i == 0:

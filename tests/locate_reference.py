@@ -8,14 +8,18 @@ curve value ``cd_tilde``, and serves the tests that check ``locate``, ``locate_g
 and ``regime_sweep`` cell by cell.
 """
 
+import math
+
 import numpy as np
 
 from facsec.model import BOUNDARY_TOL, FacilityPartition, Location
 
 
 def on_boundary(x: float, line: float) -> bool:
-    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``."""
-    return abs(x - line) <= BOUNDARY_TOL * max(1.0, abs(x), abs(line))
+    """True when ``x`` is within BOUNDARY_TOL (relative) of the regime line ``line``;
+    never at an infinite distance."""
+    d = abs(x - line)
+    return d < math.inf and d <= BOUNDARY_TOL * max(1.0, abs(x), abs(line))
 
 
 def _not_above(x: float, line: float) -> bool:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from facsec.analysis import (
+    BLOCK_CELLS,
     SWEEP_COLUMNS,
     CostRegion,
     InternalInconsistency,
@@ -240,6 +241,63 @@ def test_write_sweep_csv_format(profile3):
     interior = by_key[("2.6", "0.75")]
     assert interior[2] == "I-1"
     assert float(interior[5]) == pytest.approx(-17.75)
+
+
+def reference_sweep_csv(grid) -> str:
+    """The sweep CSV written one cell at a time: every number as format(x, ".9g"),
+    and "" for the utility of a boundary side."""
+
+    def number(x):
+        return "" if x is None else format(x, ".9g")
+
+    lines = [",".join(SWEEP_COLUMNS)]
+    for c in grid:
+        fields = (c.ca, c.cd, c.ne_regime, c.spe_regime, c.region, c.ud, c.uds, c.ua, c.uas)
+        lines.append(",".join(f if isinstance(f, str) else number(f) for f in fields))
+    return "\n".join(lines) + "\n"
+
+
+def block_rows(n_cd: int) -> int:
+    """Grid rows in one block of the CSV."""
+    return max(1, BLOCK_CELLS // n_cd)
+
+
+@pytest.mark.parametrize(
+    "ca_range, cd_range, steps",
+    [
+        # 5000 cells a row, each longer than a block; ca = 1 and 3 lie on level edges
+        ((0.0, 6.0), (0.0, 4.0), (3, 5000)),
+        # 5 rows a block and 2 in the last, every row with boundary cells: ca = 1 and 3 on
+        # level edges, and column 256 at cd = 3, the band constant 1/S_1, for every ca < 3
+        ((0.125, 3.125), (0.99609375, 4.12109375), (12, 400)),
+    ],
+)
+def test_write_sweep_csv_matches_a_per_cell_writer_across_blocks(profile3, ca_range, cd_range, steps):
+    grid = regime_sweep(profile3, ca_range, cd_range, steps)
+    rows = block_rows(steps[1])
+    held = ((grid.ne_regime == "boundary") | (grid.spe_regime == "boundary")).any(axis=1)
+    edges = range(rows, steps[0], rows)
+    # rows longer than a block, or each edge between blocks between two rows with boundary cells
+    assert steps[1] > BLOCK_CELLS or (edges and all(held[e - 1] and held[e] for e in edges))
+    buf = io.StringIO()
+    write_sweep_csv(grid, buf)
+    got, want = buf.getvalue().split("\n"), reference_sweep_csv(grid).split("\n")
+    # the first line that differs: a diff of the whole text would take minutes
+    assert len(got) == len(want) and next(((a, b) for a, b in zip(got, want) if a != b), None) is None
+
+
+def test_write_sweep_csv_writes_one_block_of_rows_at_a_time(profile3):
+    grid = regime_sweep(profile3, (0.0, 4.0), (0.0, 4.0), 300)
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    write_sweep_csv(grid, Recorder())
+    assert writes[0] == ",".join(SWEEP_COLUMNS) + "\n"
+    lines = [text.count("\n") for text in writes[1:]]
+    assert sum(lines) == 300 * 300 and max(lines) <= block_rows(300) * 300
 
 
 def test_relations_hold_on_random_instances():

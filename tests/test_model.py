@@ -253,6 +253,14 @@ def test_the_closeness_rule_is_relative_and_fails_on_nan():
     assert on_boundary(1e10, 1e10 + 5.0, 1e-9) and not on_boundary(1.0, 1.0 + 5e-9, 1e-9)
     assert not_above(1e10 + 5.0, 1e10, 1e-9) and not not_above(1e10 + 50.0, 1e10, 1e-9)
     assert not on_boundary(1.0, 1.0, nan) and not not_above(0.0, 1.0, nan)
+    # An infinite difference is never close, though tol*|inf| would match it.
+    for tol in (1e-12, 1.0):
+        for x, y in ((inf, 3.0), (3.0, inf), (-inf, 3.0), (3.0, -inf), (inf, -inf)):
+            assert not on_boundary(x, y, tol), (x, y, tol)
+            assert not_above(x, y, tol) == (x < y), (x, y, tol)
+    grid = np.array([-inf, 3.0, inf])
+    assert on_boundary(grid, 3.0).tolist() == [False, True, False]
+    assert not_above(grid, 3.0).tolist() == [True, True, False]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "facsec"

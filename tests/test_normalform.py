@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from facsec.model import (
     CostParams,
     EmptyVulnerableUniverse,
     FacilityProfile,
+    ModelError,
 )
 from facsec.normalform import (
     BoundaryParameters,
@@ -25,6 +28,10 @@ def test_cd_threshold_bar(profile3):
     assert cd_threshold_bar(profile3, 2.5) == pytest.approx(3.0)
     with pytest.raises(EmptyVulnerableUniverse):
         cd_threshold_bar(profile3, 3.5)
+    for ca in (-1.0, -1e-300, float("-inf"), float("nan")):
+        with pytest.raises(ModelError, match=re.escape(f"attack cost {ca!r} is negative or not a number")):
+            cd_threshold_bar(profile3, ca)
+    assert cd_threshold_bar(profile3, 0.0) == pytest.approx(6 / 11)
 
 
 def test_classify_regime_ne_golden(profile3):

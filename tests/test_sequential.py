@@ -66,13 +66,18 @@ def test_threshold_functions_reject_nan_and_keep_their_answers_at_infinity(profi
         cd_threshold_tilde(profile3, nan)
     with pytest.raises(OutOfDomain, match="defense cost nan"):
         cd_tilde_inverse(profile3, nan)
-    assert cd_threshold_bar(profile3, -inf) == pytest.approx(6 / 11)
+    with pytest.raises(ModelError, match="attack cost -inf is negative"):
+        cd_threshold_bar(profile3, -inf)
     with pytest.raises(EmptyVulnerableUniverse):
         cd_threshold_bar(profile3, inf)
     for x in (-inf, inf):
         with pytest.raises(OutOfDomain):
             cd_threshold_tilde(profile3, x)
     assert cd_tilde_inverse(profile3, inf) == 3.0
+    # -inf lies below the curve, as -5 does, and is not on its foot
+    for cd in (-5.0, -inf):
+        with pytest.raises(BelowRange):
+            cd_tilde_inverse(profile3, cd)
 
 
 def test_tilde_inverse_golden(profile3):
